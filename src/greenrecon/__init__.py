@@ -12,8 +12,9 @@ from .boundary import (BoundaryFunction, CumulativeMap, build_cumulative,
                        validate_class)
 from .conformal import (ConformalMap, arclength, eval_boundary, eval_fprime,
                         forward_operator, load_map, save_map)
-from .errors import (AliasingError, CompatibilityError, DataFormatError,
-                     DegenerateMapError, GreenreconError, InvalidInputError)
+from .errors import (AliasingError, CompatibilityError, ConvergenceError,
+                     DataFormatError, DegenerateMapError, GreenreconError,
+                     InvalidInputError)
 from .geometry import (DomainBoundary, align_rotation, boundary_of,
                        hausdorff_discretization_bound, hausdorff_distance,
                        inradius_circumradius)
@@ -30,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AliasingError", "BoundaryFunction", "CompatibilityError", "ConformalMap",
-    "ConstantsBundle", "CumulativeMap", "DataFormatError", "DegenerateMapError",
-    "DomainBoundary", "GreenreconError", "InvalidInputError",
+    "ConstantsBundle", "ConvergenceError", "CumulativeMap", "DataFormatError",
+    "DegenerateMapError", "DomainBoundary", "GreenreconError", "InvalidInputError",
     "ReconstructionResult", "SampledFunction", "StabilityReport",
     "align_rotation", "arclength", "boundary_of", "build_cumulative",
     "c_alpha", "check_theorem_disco", "check_theorem_lugua_hausdorff",

@@ -10,14 +10,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
-
-_EVAL_CHUNK = 2048
+from .errors import ConvergenceError, InvalidInputError
 
 
 def uniform_grid(n: int, period: float, start: float = 0.0) -> np.ndarray:
     """Uniform grid of n points on [start, start + period), endpoint excluded."""
     return start + np.arange(n) * (period / n)
+
+
+def _horner(coeffs: np.ndarray, z) -> np.ndarray:
+    """sum_k coeffs[k] * z**k by Horner's rule, in place."""
+    z = np.asarray(z, dtype=complex)
+    out = np.full(z.shape, coeffs[-1], dtype=complex)
+    for c in coeffs[-2::-1].tolist():
+        out *= z
+        out += c
+    return out
+
+
+def _synthesize(coeffs: np.ndarray, step: float, x, first: int = 0) -> np.ndarray:
+    """Re sum_k coeffs[k] * z**(first + k) with z = exp(1j*step*x): one exp
+    per point, then Horner in z, in memory linear in the number of points."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = np.exp(1j * step * x)
+    return (_horner(coeffs, z) * z ** first).real
 
 
 class TrigInterpolant:
@@ -55,25 +71,11 @@ class TrigInterpolant:
         return float(self.coeffs[0].real)
 
     def __call__(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        wc = self._w * self.coeffs
-        out = np.empty(x.size)
-        for lo in range(0, x.size, _EVAL_CHUNK):
-            xc = x[lo:lo + _EVAL_CHUNK]
-            phase = np.exp(1j * np.outer(xc, self.omega))
-            out[lo:lo + _EVAL_CHUNK] = (phase * wc).real.sum(axis=1)
-        return out
+        return _synthesize(self._w * self.coeffs, self.omega[1], x)
 
     def derivative_at(self, x) -> np.ndarray:
         """Derivative of the interpolant at arbitrary points."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        wc = self._w * self.coeffs * (1j * self.omega)
-        out = np.empty(x.size)
-        for lo in range(0, x.size, _EVAL_CHUNK):
-            xc = x[lo:lo + _EVAL_CHUNK]
-            phase = np.exp(1j * np.outer(xc, self.omega))
-            out[lo:lo + _EVAL_CHUNK] = (phase * wc).real.sum(axis=1)
-        return out
+        return _synthesize(self._w * self.coeffs * (1j * self.omega), self.omega[1], x)
 
     def antiderivative(self, mean: float | None = None) -> "CumulativeTrig":
         return CumulativeTrig(self, mean=mean)
@@ -97,12 +99,8 @@ class CumulativeTrig:
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(x.size)
-        for lo in range(0, x.size, _EVAL_CHUNK):
-            xc = x[lo:lo + _EVAL_CHUNK]
-            phase = np.exp(1j * np.outer(xc, self.omega))
-            out[lo:lo + _EVAL_CHUNK] = (phase * self.pcoeffs).real.sum(axis=1)
-        return self.mean * x + out + self.p0
+        periodic = _synthesize(self.pcoeffs, self.interp.omega[1], x, first=1)
+        return self.mean * x + periodic + self.p0
 
     def slope(self, x) -> np.ndarray:
         """dS/dx, i.e. the interpolant itself (with the overridden mean)."""
@@ -181,7 +179,8 @@ def invert_increasing(cumulative: CumulativeTrig, targets, lo: float, hi: float,
     Newton iteration on the interpolant with a bracketing bisection fallback;
     terminates when every residual |S(x) - t| falls below ``tol`` (default:
     a few dozen ulps of the total increment, which Newton reaches in a handful
-    of extra iterations and which keeps downstream spectra at rounding level).
+    of extra iterations and which keeps downstream spectra at rounding level),
+    else raises :class:`ConvergenceError` after ``max_iter`` iterations.
     """
     t = np.atleast_1d(np.asarray(targets, dtype=float))
     s_lo = float(cumulative(np.array([lo]))[0])
@@ -191,12 +190,15 @@ def invert_increasing(cumulative: CumulativeTrig, targets, lo: float, hi: float,
         raise InvalidInputError("cumulative function is not increasing on the interval")
     if tol is None:
         tol = 64.0 * np.finfo(float).eps * max(1.0, abs(span))
+    t = np.clip(t, s_lo, s_hi)  # targets beyond the range map to the nearer end
     xlo = np.full(t.shape, lo)
     xhi = np.full(t.shape, hi)
     x = lo + (hi - lo) * np.clip((t - s_lo) / span, 0.0, 1.0)
+    worst = np.inf
     for _ in range(max_iter):
         resid = cumulative(x) - t
-        if float(np.max(np.abs(resid))) <= tol:
+        worst = float(np.max(np.abs(resid)))
+        if worst <= tol:
             break
         xlo = np.where(resid < 0, x, xlo)
         xhi = np.where(resid > 0, x, xhi)
@@ -204,6 +206,8 @@ def invert_increasing(cumulative: CumulativeTrig, targets, lo: float, hi: float,
         xn = x - step
         bad = ~np.isfinite(xn) | (xn < xlo) | (xn > xhi)
         x = np.where(bad, 0.5 * (xlo + xhi), xn)
+    else:
+        raise ConvergenceError(max_iter, worst, tol)
     # pin exact endpoints
     x = np.where(t <= s_lo, lo, x)
     x = np.where(t >= s_hi, hi, x)

@@ -114,11 +114,6 @@ class BoundaryFunction:
         values = np.concatenate([self.values, [self.values[0]]])
         return norms.SampledFunction(grid, values)
 
-    def derivative_interval_function(self) -> norms.SampledFunction:
-        grid = np.concatenate([self.grid, [self.L]])
-        dv = self.derivative()
-        return norms.SampledFunction(grid, np.concatenate([dv, [dv[0]]]))
-
     def holder_norm0(self, alpha: float | None = None) -> float:
         """Measured ||phi||_{0,alpha,[0,L]} on the grid."""
         a = self.alpha if alpha is None else alpha
@@ -150,10 +145,6 @@ class CumulativeMap:
         """Phi at arbitrary arclength points."""
         return TWO_PI * self._cum(s)
 
-    def slope_of(self, s) -> np.ndarray:
-        """Phi' = 2*pi*phi evaluated through the interpolant."""
-        return TWO_PI * self._cum.slope(s)
-
     def theta_nodes(self) -> np.ndarray:
         """Phi at the datum's own uniform grid."""
         return TWO_PI * self._cum.node_values()
@@ -183,7 +174,7 @@ def build_cumulative(phi: BoundaryFunction, renormalize: bool = False) -> Cumula
     values = phi.values
     if abs(integral - 1.0) > COMPATIBILITY_TOL:
         if not renormalize:
-            raise CompatibilityError(integral, COMPATIBILITY_TOL)
+            raise CompatibilityError(integral, COMPATIBILITY_TOL, phi.n)
         values = values / integral
     interp = TrigInterpolant(values, phi.L)
     cumulative = interp.antiderivative(mean=1.0 / phi.L)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spectral import TrigInterpolant, invert_increasing, uniform_grid
+from ._spectral import TrigInterpolant, _horner, invert_increasing, uniform_grid
 from .boundary import BoundaryFunction
 from .errors import AliasingError, DataFormatError, DegenerateMapError, InvalidInputError
 
@@ -73,11 +73,6 @@ class ConformalMap:
     def fprime(self, z) -> np.ndarray:
         return _horner(self.fprime_coefficients(), z)
 
-    def fsecond(self, z) -> np.ndarray:
-        d = self.fprime_coefficients()
-        return _horner(d[1:] * np.arange(1, d.size), z) if d.size > 1 else np.zeros_like(
-            np.asarray(z, dtype=complex))
-
     def rotated(self, gamma: float) -> "ConformalMap":
         """Rotation of the image domain about zeta_o by angle gamma."""
         phase = np.exp(1j * gamma)
@@ -122,14 +117,6 @@ class ConformalMap:
         if not _polyline_is_simple(self(z)):
             warnings.append("boundary polyline self-intersects on the test grid")
         return warnings
-
-
-def _horner(coeffs: np.ndarray, z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    out = np.full(z.shape, coeffs[-1], dtype=complex)
-    for c in coeffs[-2::-1]:
-        out = out * z + c
-    return out
 
 
 def _winding_of(values: np.ndarray) -> float:

@@ -78,6 +78,7 @@ class TestBuildCumulative:
             build_cumulative(bad)
         assert err.value.integral == pytest.approx(1.2, abs=1e-12)
         assert err.value.tolerance == COMPATIBILITY_TOL
+        assert err.value.n == 32
 
     def test_renormalize_flag(self):
         bad = BoundaryFunction(np.full(32, 0.2), 6.0)

@@ -176,3 +176,12 @@ class TestRoundtripError:
         assert e32 > 1e-7 and e64 > 1e-12  # still resolving
         assert e64 <= e32 / 4
         assert e128 <= e64 / 4
+
+    def test_under_resolved_datum_named_in_error(self):
+        # the forward datum of z + 0.35z^2 at n = 32 integrates to ~1.008
+        with pytest.raises(CompatibilityError) as err:
+            roundtrip_error(perturbed_disk(0.35), 32)
+        assert err.value.n == 32
+        assert err.value.integral == pytest.approx(1.00801, abs=1e-5)
+        assert "n = 32 samples" in str(err.value)
+        assert "under-resolved" in str(err.value)
