@@ -209,7 +209,11 @@ def _cmd_forward(args) -> int:
     f = load_map(_require_file(args.map, "--map"))
     for warning in f.validate(n):
         print(f"warning: {warning}", file=sys.stderr)
-    phi = forward_operator(f, n, alpha=min(alpha, 0.99))
+    stored = min(alpha, 0.99)
+    if stored != alpha:
+        print(f"warning: boundary data need alpha < 1; storing alpha = {stored:g} "
+              f"in place of {alpha:g}", file=sys.stderr)
+    phi = forward_operator(f, n, alpha=stored)
     out.mkdir(parents=True, exist_ok=True)
     save_boundary_data(out / "datum.bdata", phi)
     cm = build_cumulative(phi)
@@ -337,6 +341,8 @@ def _cmd_check(args) -> int:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.theorem}/{r.row}: lhs={r.lhs:.6g} K*rhs={r.product:.6g} "
               f"ratio={r.ratio:.6g} [{status}]")
+        if r.notes:
+            print(f"  note: {r.notes}")
     return 0 if all(r.passed for r in reports) else 2
 
 

@@ -5,15 +5,21 @@ rotation alignment of two maps about their common interior base point."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 from .conformal import ConformalMap, arclength, eval_boundary
 from .errors import InvalidInputError
 
 TWO_PI = 2.0 * np.pi
-_CHUNK = 1024
+# how far below the largest KD-tree distance a point may still hold the
+# supremum: relative, and absolute (in coordinates scaled into [0.5, 1)) for
+# squared distances that underflow
+_KD_RTOL = 1e-12
+_KD_ATOL = 2.0 ** -500
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,8 @@ class DomainBoundary:
             raise InvalidInputError("need at least 8 boundary samples")
         if s.shape != pts.shape:
             raise InvalidInputError("arclength tags must match the samples")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidInputError("boundary samples must be finite")
         if not np.all(np.diff(s) > 0):
             raise InvalidInputError("arclength tags must be strictly increasing")
         object.__setattr__(self, "points", pts)
@@ -84,13 +92,33 @@ def inradius_circumradius(b: DomainBoundary) -> tuple[float, float]:
 
 
 def _directed_sup_inf(a: np.ndarray, b: np.ndarray) -> float:
-    """sup over a of inf over b of |a - b|, brute force over sample pairs."""
-    worst = 0.0
-    for lo in range(0, a.size, _CHUNK):
-        block = a[lo:lo + _CHUNK, None] - b[None, :]
-        nearest = np.min(np.abs(block), axis=1)
-        worst = max(worst, float(np.max(nearest)))
-    return worst
+    """sup over a of inf over b of |a - b|, exact over the sample pairs.
+
+    A KD-tree gives every point of a its nearest distance to b, up to
+    rounding.  Only the points of a whose tree distance comes within
+    ``_KD_RTOL`` (or ``_KD_ATOL``) of the largest can hold the supremum; for
+    those, |a - b| is recomputed with ``np.abs`` against every point of b that
+    the tree places within the same allowance of the nearest, so the result
+    is the brute-force pair scan's to the bit.  Coordinates are scaled by a
+    power of two into [0.5, 1) first, which is exact and keeps the tree's
+    squared distances clear of overflow and of most underflow.
+    """
+    top = max(np.max(np.abs(z)) for z in (a.real, a.imag, b.real, b.imag))
+    exponent = np.frexp(top)[1]
+    scaled_a, scaled_b = (np.ldexp(np.column_stack([z.real, z.imag]), -exponent)
+                          for z in (a, b))
+    tree = cKDTree(scaled_b)
+    dist, _ = tree.query(scaled_a)
+    cand = np.flatnonzero(dist >= np.max(dist) * (1.0 - _KD_RTOL) - _KD_ATOL)
+    balls = tree.query_ball_point(scaled_a[cand],
+                                  dist[cand] * (1.0 + _KD_RTOL) + _KD_ATOL)
+    counts = np.fromiter(map(len, balls), dtype=np.intp, count=cand.size)
+    near = np.fromiter(chain.from_iterable(balls), dtype=np.intp,
+                       count=int(counts.sum()))
+    owner = np.repeat(np.arange(cand.size), counts)
+    nearest = np.full(cand.size, np.inf)
+    np.minimum.at(nearest, owner, np.abs(a[cand[owner]] - b[near]))
+    return float(np.max(nearest))
 
 
 def hausdorff_distance(b1: DomainBoundary, b2: DomainBoundary) -> float:

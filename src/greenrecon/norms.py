@@ -15,7 +15,9 @@ import numpy as np
 from ._spectral import derivative_samples
 from .errors import InvalidInputError
 
-_PAIR_CHUNK = 512
+# relative allowance in the lag scan's stopping bound, whose scalar power may
+# differ in the last ulp from the vectorised power the pair quotients use
+_MARGIN = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -93,19 +95,39 @@ def sup_norm(f: SampledFunction) -> float:
 
 
 def _pairwise_max_quotient(f: SampledFunction, values: np.ndarray, alpha: float) -> float:
-    """max over distinct sample pairs of |v_i - v_j| / d(x_i, x_j)^alpha."""
-    n = f.n
+    """max over distinct sample pairs of |v_i - v_j| / d(x_i, x_j)^alpha.
+
+    Pairs are visited by index lag k = 1, 2, ...; on a periodic grid the
+    circular lag k takes the index lags k and n - k together.  Every pair's
+    quotient is computed exactly as a full pair scan computes it, so the
+    result is the same to the bit.
+
+    Every pair at a larger lag is at least ``nearest``, the smallest distance
+    at lag k, apart, and this holds for the computed distances too: a pair at
+    lag k' > k spans, in the direction of its shorter arc, a lag-k pair whose
+    grid difference is no larger (or, for an arc across the period, no
+    smaller), and rounding is monotone.  Its value difference is at most
+    max(v) - min(v), so the scan stops once that over ``nearest``^alpha
+    cannot beat the best quotient found; ``_MARGIN`` covers the power.
+    """
+    grid, n = f.grid, f.n
+    osc = float(np.max(values) - np.min(values))
     best = 0.0
-    for lo in range(0, n, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, n)
-        d = np.abs(f.grid[lo:hi, None] - f.grid[None, :])
-        if f.periodic:
-            d = np.minimum(d, f.period - d)
-        num = np.abs(values[lo:hi, None] - values[None, :])
-        mask = d > 0  # coincident abscissas (periodic wrap) carry equal values
-        quot = np.zeros_like(d)
-        np.divide(num, d ** alpha, out=quot, where=mask)
-        best = max(best, float(np.max(quot)))
+    for k in range(1, n // 2 + 1 if f.periodic else n):
+        lags = (k, n - k) if f.periodic and 2 * k != n else (k,)
+        nearest = np.inf
+        for lag in lags:
+            d = grid[lag:] - grid[:-lag]
+            if f.periodic:
+                d = np.minimum(d, f.period - d)
+            num = np.abs(values[lag:] - values[:-lag])
+            mask = d > 0  # coincident abscissas (periodic wrap) carry equal values
+            quot = np.zeros_like(d)
+            np.divide(num, d ** alpha, out=quot, where=mask)
+            best = max(best, float(np.max(quot)))
+            nearest = min(nearest, float(np.min(d)))
+        if nearest > 0 and osc / nearest ** alpha * (1.0 + _MARGIN) <= best:
+            break
     return best
 
 

@@ -34,6 +34,25 @@ class TestCheckCommand:
         assert float(first[2]) <= 1e-12
         assert "pass" in capsys.readouterr().out
 
+    def test_violated_override_note_printed(self, tmp_path, pert_map, capsys):
+        out = tmp_path / "out"
+        assert main(["check", "--theorem", "raggi", "--map", str(pert_map),
+                     "--out", str(out), "--n", "128", "--m", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [i for i, line in enumerate(lines) if line.startswith("raggi/")]
+        assert len(rows) == 2
+        for i in rows:
+            note = lines[i + 1].strip()
+            assert note.startswith("note: m=10 violated by data (measured 0.")
+            assert note.endswith("using measured value")
+        report = (out / "report.csv").read_text().splitlines()
+        assert report[0] == stability.CSV_HEADER
+
+    def test_no_note_lines_without_overrides(self, tmp_path, pert_map, capsys):
+        assert main(["check", "--theorem", "raggi", "--map", str(pert_map),
+                     "--out", str(tmp_path / "out"), "--n", "128"]) == 0
+        assert "note:" not in capsys.readouterr().out
+
     def test_exit_two_on_failure(self, tmp_path, disk_map, monkeypatch):
         failing = stability.StabilityReport(
             theorem="raggi", row="radii_gap", lhs=2.0, rhs_norm=1.0, K=1.0,
@@ -78,6 +97,22 @@ class TestForwardInvertPipeline:
                       in (inv / "invert_report.csv").read_text().splitlines()[1:])
         assert report["consistent"] == "true"
         assert abs(float(report["gamma"])) <= 1e-8
+
+    def test_alpha_clamp_warns(self, tmp_path, pert_map, capsys):
+        out = tmp_path / "fwd"
+        assert main(["forward", "--map", str(pert_map), "--out", str(out),
+                     "--n", "64", "--alpha", "1"]) == 0
+        err = capsys.readouterr().err
+        assert "warning: boundary data need alpha < 1; storing alpha = 0.99 " \
+               "in place of 1" in err
+        assert load_boundary_data(out / "datum.bdata").alpha == 0.99
+
+    def test_alpha_below_one_stored_silently(self, tmp_path, pert_map, capsys):
+        out = tmp_path / "fwd"
+        assert main(["forward", "--map", str(pert_map), "--out", str(out),
+                     "--n", "64", "--alpha", "0.7"]) == 0
+        assert "alpha" not in capsys.readouterr().err
+        assert load_boundary_data(out / "datum.bdata").alpha == 0.7
 
     def test_roundtrip_command(self, tmp_path, pert_map):
         out = tmp_path / "rt"

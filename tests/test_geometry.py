@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from greenrecon.conformal import ConformalMap
 from greenrecon.errors import InvalidInputError
 from greenrecon.families import disk, disk_for_constant, fourier_disk, perturbed_disk
 from greenrecon.geometry import (DomainBoundary, align_rotation, boundary_of,
@@ -18,12 +21,120 @@ def circle_boundary(radius=1.0, center=0j, n=256):
                           zeta_o=center, arclengths=radius * theta, thetas=theta)
 
 
+def pair_scan_hausdorff(b1, b2):
+    """Oracle: the two directed sup-inf distances over every sample pair,
+    with the np.abs that hausdorff_distance applies, so they agree to the bit."""
+    def directed(a, b):
+        worst = 0.0
+        for lo in range(0, a.size, 256):
+            block = np.abs(a[lo:lo + 256, None] - b[None, :])
+            worst = max(worst, float(np.max(np.min(block, axis=1))))
+        return worst
+    return max(directed(b1.points, b2.points), directed(b2.points, b1.points))
+
+
+def polyline(points, zeta_o=0j):
+    # the arclength tags play no part in the distance
+    return DomainBoundary(points=points, zeta_o=zeta_o,
+                          arclengths=np.arange(points.size, dtype=float))
+
+
+@st.composite
+def star_points(draw):
+    """A closed star-shaped polyline about 0: jittered angles, random radii."""
+    n = draw(st.integers(8, 96))
+    radii = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    jitter = draw(st.lists(st.floats(-0.4, 0.4), min_size=n, max_size=n))
+    theta = (np.arange(n) + np.array(jitter)) * (TWO_PI / n)
+    return np.array(radii) * np.exp(1j * theta)
+
+
+class TestHausdorffEqualsPairScan:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(p1=star_points(), p2=star_points(),
+           scale=st.sampled_from([1.0, 1e-160, 3e5]),
+           center=st.complex_numbers(max_magnitude=3.0))
+    def test_random_polylines(self, p1, p2, scale, center):
+        b1 = polyline(scale * (center + p1), scale * center)
+        b2 = polyline(scale * (center + p2), scale * center)
+        assert hausdorff_distance(b1, b2) == pair_scan_hausdorff(b1, b2)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(p=star_points(), scale=st.sampled_from([1.0, 1e-160]))
+    def test_identical_polylines(self, p, scale):
+        b = polyline(scale * p)
+        assert hausdorff_distance(b, b) == pair_scan_hausdorff(b, b) == 0.0
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(p=star_points(), scale=st.sampled_from([1.0, 1e-160]))
+    def test_near_identical_polylines(self, p, scale):
+        b1 = polyline(scale * p)
+        b2 = polyline(scale * p * (1.0 + 1e-14))
+        assert hausdorff_distance(b1, b2) == pair_scan_hausdorff(b1, b2)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(c2=st.complex_numbers(max_magnitude=0.2),
+           c3=st.complex_numbers(max_magnitude=0.1),
+           n=st.sampled_from([64, 256, 512]))
+    def test_near_identical_maps(self, c2, c3, n):
+        f = fourier_disk({2: c2, 3: c3})
+        g = ConformalMap(f.coefficients * (1.0 + 1e-14))
+        b1, b2 = boundary_of(f, n), boundary_of(g, n)
+        assert hausdorff_distance(b1, b2) == pair_scan_hausdorff(b1, b2)
+
+    @staticmethod
+    def ring_near_origin(near):
+        """A circle polygon about 0.4 through the origin, its vertex at angle
+        pi replaced by the vertices ``near``."""
+        ring = 0.4 + 0.4 * np.exp(1j * np.arange(32) * (TWO_PI / 32))
+        return polyline(np.concatenate([ring[:16], near, ring[17:]]), 0.4)
+
+    def test_squares_below_the_subnormal_range(self):
+        # Squared distances of about 1e-324 round to 0, 1 or 2 subnormal
+        # units, so the tree's order of nearest distances differs from the
+        # true one and only an absolute allowance keeps the right points.
+        b1 = self.ring_near_origin([0.0, 2.3e-162 + 1e-170j])
+        b2 = self.ring_near_origin([1.6e-162 + 1.6e-162j, 2.3e-162])
+        assert hausdorff_distance(b1, b2) == pair_scan_hausdorff(b1, b2)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(near1=st.lists(st.complex_numbers(max_magnitude=4.0), min_size=1, max_size=4),
+           near2=st.lists(st.complex_numbers(max_magnitude=4.0), min_size=1, max_size=4))
+    def test_points_near_the_origin(self, near1, near2):
+        b1 = self.ring_near_origin(np.r_[0.0, 1e-162 * np.array(near1)])
+        b2 = self.ring_near_origin(np.r_[0.0, 1e-162 * np.array(near2)])
+        assert hausdorff_distance(b1, b2) == pair_scan_hausdorff(b1, b2)
+
+    def test_tiny_coordinates_near_ties(self):
+        # directed distances 0.3 + 1e-9 cos(3 theta) at 1e-160, whose squares
+        # are subnormal unless the coordinates are rescaled
+        theta = np.arange(512) * (TWO_PI / 512)
+        inner = 1e-160 * np.exp(1j * theta)
+        outer = (1.3 + 1e-9 * np.cos(3 * theta + 0.1)) * inner
+        b1, b2 = polyline(inner), polyline(outer)
+        assert hausdorff_distance(b1, b2) == pair_scan_hausdorff(b1, b2)
+
+    def test_large_maps(self):
+        b1 = boundary_of(perturbed_disk(0.1), 2048)
+        b2 = boundary_of(fourier_disk({2: 0.05, 3: 0.03}), 1024)
+        assert hausdorff_distance(b1, b2) == pair_scan_hausdorff(b1, b2)
+        assert hausdorff_distance(b1, b1) == 0.0
+
+
 class TestDomainBoundary:
     def test_winding_validation(self):
         theta = np.arange(64) * (TWO_PI / 64)
         points = np.exp(1j * theta)
         with pytest.raises(InvalidInputError):
             DomainBoundary(points=points, zeta_o=2.0 + 0j, arclengths=theta)
+
+    def test_non_finite_samples_rejected(self):
+        theta = np.arange(64) * (TWO_PI / 64)
+        for bad in (np.nan, np.inf):
+            points = np.exp(1j * theta)
+            points[3] = bad
+            with pytest.raises(InvalidInputError, match="finite"):
+                DomainBoundary(points=points, zeta_o=0j, arclengths=theta)
 
     def test_from_map(self):
         b = boundary_of(perturbed_disk(0.1), 128)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from greenrecon.conformal import forward_operator
 from greenrecon.errors import InvalidInputError
+from greenrecon.families import perturbed_disk
 from greenrecon.norms import (SampledFunction, composition_seminorm_bound,
                               holder_norm, holder_seminorm, sup_norm)
 
@@ -18,6 +22,96 @@ def brute_force_seminorm(grid, values, alpha, period=None):
             if d > 0:
                 best = max(best, abs(values[i] - values[j]) / d ** alpha)
     return best
+
+
+def pair_scan_seminorm(f, alpha):
+    """Oracle: every sample pair at once, with the float operations that
+    holder_seminorm applies to each pair, so the two agree to the bit."""
+    d = np.abs(f.grid[:, None] - f.grid[None, :])
+    if f.periodic:
+        d = np.minimum(d, f.period - d)
+    num = np.abs(f.values[:, None] - f.values[None, :])
+    quot = np.zeros_like(d)
+    np.divide(num, d ** alpha, out=quot, where=d > 0)
+    return float(np.max(quot))
+
+
+@st.composite
+def sampled_functions(draw):
+    """Uniform, non-uniform and closed-interval grids, periodic or not, with
+    noisy, smooth or constant values."""
+    n = draw(st.integers(2, 96))
+    period = draw(st.floats(1e-3, 1e3))
+    spacing = draw(st.sampled_from(["uniform", "non-uniform", "closed"]))
+    if spacing == "non-uniform":
+        gap = st.one_of(st.floats(1e-3, 1e-2), st.floats(0.5, 1.0))
+        gaps = np.array(draw(st.lists(gap, min_size=n, max_size=n)))
+        grid = np.concatenate([[0.0], np.cumsum(gaps[:-1])]) * (period / np.sum(gaps))
+    else:
+        grid = np.arange(n) * (period / n)
+    kind = draw(st.sampled_from(["noise", "smooth", "constant"]))
+    if kind == "noise":
+        values = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    elif kind == "smooth":
+        coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
+        values = sum(c * np.cos(2.0 * np.pi * (k + 1) * grid / period + k)
+                     for k, c in enumerate(coeffs))
+    else:
+        values = np.full(n, draw(st.floats(-1e3, 1e3)))
+    if spacing == "closed":  # [0, period] with the endpoint repeating the start
+        return SampledFunction(np.append(grid, period), np.append(values, values[0]))
+    if draw(st.booleans()):
+        return SampledFunction(grid, values, periodic=True, period=period)
+    return SampledFunction(grid, values)
+
+
+class TestLagScanEqualsPairScan:
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(f=sampled_functions(), alpha=st.floats(0.0, 1.0, exclude_min=True))
+    def test_random_grids(self, f, alpha):
+        assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(n=st.integers(2, 64), value=st.floats(-1e6, 1e6), periodic=st.booleans(),
+           alpha=st.floats(0.0, 1.0, exclude_min=True))
+    def test_constant_data_is_zero(self, n, value, periodic, alpha):
+        f = SampledFunction.uniform(np.full(n, value), 2.0, periodic=periodic)
+        assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha) == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_forward_datum(self, alpha):
+        phi = forward_operator(perturbed_disk(0.2), 1024)
+        for f in (phi.as_interval_function(),
+                  SampledFunction.uniform(phi.values, phi.L)):
+            assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha)
+
+    def test_later_lag_closer_than_extrapolated(self):
+        # steps 0.01, 1, 0.01: the lag-3 pair (1.02 apart) is closer than
+        # 3/2 of the nearest lag-2 pair (1.01) and holds the maximum, so the
+        # scan must not stop on a bound guessed from lag 2
+        f = SampledFunction([0.0, 0.01, 1.01, 1.02], [0.0, 0.05, 0.95, 1.0])
+        assert holder_seminorm(f, 0.5) == pair_scan_seminorm(f, 0.5)
+        assert holder_seminorm(f, 0.5) == pytest.approx(1.02 ** -0.5, rel=1e-15)
+
+    def test_maximum_at_the_last_lag(self):
+        # the endpoints hold the only large difference
+        f = SampledFunction(np.linspace(0.0, 1.0, 40), np.r_[0.0, np.full(38, 0.5), 2.0])
+        for alpha in (0.05, 0.5):
+            assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha)
+
+    @pytest.mark.parametrize("alpha, x2", [
+        (0.2, "0x1.202cd07652d91p-1"), (0.7, "0x1.211fc5c316e14p-1"),
+        (0.2, "0x1.194e0d275d503p+0"), (0.7, "0x1.0039e57593658p+0"),
+        (0.3, "0x1.9bd952e8cee4cp+0"), (0.3, "0x1.ca261aa644f88p+0")])
+    def test_stop_bound_rounding_margin(self, alpha, x2):
+        # Lag 2 and lag 3 each hold a pair at the same computed distance B;
+        # the lag-3 pair alone differs by the full oscillation.  A scalar
+        # B**alpha may exceed the vectorised one by an ulp, so without its
+        # margin the stopping bound ends the scan before lag 3.
+        x2 = float.fromhex(x2)
+        grid = np.array([-1.5, np.nextafter(-1.5, 0.0), x2, np.nextafter(x2, 3.0)])
+        f = SampledFunction(grid, [0.0, 1e-15, 1.0 - 2.0 ** -53, 1.0])
+        assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha)
 
 
 class TestSupNorm:
