@@ -13,26 +13,24 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from greenrecon import (check_theorem_disco, check_theorem_lugua_hausdorff,
-                        check_theorem_raggi, check_theorem_stab_gen,
-                        check_theorem_ultimo, forward_operator)
+from greenrecon import (DomainSample, check_theorem_disco,
+                        check_theorem_lugua_hausdorff, check_theorem_raggi,
+                        check_theorem_stab_gen, check_theorem_ultimo)
 from greenrecon.families import disk, equal_perimeter_pair, perturbed_disk
 
 alpha, n = 0.5, 256
-f0 = disk()
+d0 = DomainSample(disk(), n)  # each domain's datum is computed once
 print(f"alpha = {alpha}, n = {n}")
 print(f"{'eps':>5}  {'raggi':>9}  {'disco':>9}  {'stab_gen':>9}  "
       f"{'lugua':>9}  {'hausdorff':>9}  {'ultimo':>9}")
 for eps in (0.02, 0.05, 0.08, 0.12, 0.16, 0.20):
-    f = perturbed_disk(eps)
-    raggi = check_theorem_raggi(f, alpha, n=n)[0]
-    disco = check_theorem_disco(f, 1 / (2 * np.pi), alpha, n=n)[0]
-    stab = check_theorem_stab_gen(f, f0, alpha, n=n)[-1]
-    g1, g2 = equal_perimeter_pair(eps, n=n)
-    lug = check_theorem_lugua_hausdorff(
-        forward_operator(g1, n), forward_operator(g2, n), g1, g2, alpha)
-    ult = check_theorem_ultimo(
-        forward_operator(f, n), forward_operator(f0, n), f, f0, alpha)
+    d = DomainSample(perturbed_disk(eps), n)
+    raggi = check_theorem_raggi(d, alpha)[0]
+    disco = check_theorem_disco(d, 1 / (2 * np.pi), alpha)[0]
+    stab = check_theorem_stab_gen(d, d0, alpha)[-1]
+    g1, _ = equal_perimeter_pair(eps, n=n)
+    lug = check_theorem_lugua_hausdorff(DomainSample(g1, n), d0, alpha)
+    ult = check_theorem_ultimo(d, d0, alpha)
     print(f"{eps:>5.2f}  {raggi.ratio:>9.2e}  {disco.ratio:>9.2e}  "
           f"{stab.ratio:>9.2e}  {lug[-2].ratio:>9.2e}  {lug[-1].ratio:>9.2e}  "
           f"{ult[-2].ratio:>9.2e}")

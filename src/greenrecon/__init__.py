@@ -22,7 +22,7 @@ from .norms import (SampledFunction, composition_seminorm_bound,
                     holder_norm, holder_seminorm, sup_norm)
 from .reconstruct import (ReconstructionResult, integrate_series,
                           reconstruct_fprime, roundtrip_error)
-from .stability import (ConstantsBundle, StabilityReport, c_alpha,
+from .stability import (ConstantsBundle, DomainSample, StabilityReport, c_alpha,
                         check_theorem_disco, check_theorem_lugua_hausdorff,
                         check_theorem_raggi, check_theorem_stab_gen,
                         check_theorem_ultimo, reports_to_csv, seminorm_bounds)
@@ -32,7 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AliasingError", "BoundaryFunction", "CompatibilityError", "ConformalMap",
     "ConstantsBundle", "ConvergenceError", "CumulativeMap", "DataFormatError",
-    "DegenerateMapError", "DomainBoundary", "GreenreconError", "InvalidInputError",
+    "DegenerateMapError", "DomainBoundary", "DomainSample", "GreenreconError",
+    "InvalidInputError",
     "ReconstructionResult", "SampledFunction", "StabilityReport",
     "align_rotation", "arclength", "boundary_of", "build_cumulative",
     "c_alpha", "check_theorem_disco", "check_theorem_lugua_hausdorff",

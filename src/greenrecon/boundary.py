@@ -94,19 +94,6 @@ class BoundaryFunction:
         from ._spectral import derivative_samples
         return derivative_samples(self.values, self.L)
 
-    def shifted(self, offset: float) -> "BoundaryFunction":
-        """Datum with the arclength origin moved forward by ``offset``.
-
-        Useful when two data sets were measured from different boundary base
-        points; comparisons are reported for the alignment actually used.
-        """
-        targets = (self.grid + offset) % self.L
-        values = self.interpolant()(targets)
-        dv = None
-        if self.derivative_values is not None:
-            dv = TrigInterpolant(self.derivative_values, self.L)(targets)
-        return BoundaryFunction(values, self.L, alpha=self.alpha, derivative_values=dv)
-
     def as_interval_function(self) -> norms.SampledFunction:
         """The datum as a function on the closed interval [0, L] (plain
         distances), with the right endpoint duplicating the left one."""

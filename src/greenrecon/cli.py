@@ -25,7 +25,7 @@ from . import stability
 from .boundary import load_boundary_data, save_boundary_data, build_cumulative
 from .conformal import eval_fprime, forward_operator, load_map, save_map
 from .errors import GreenreconError, InvalidInputError
-from .families import disk, equal_perimeter_pair, parse_family
+from .families import disk, parse_family
 from .geometry import (boundary_of, hausdorff_discretization_bound,
                        hausdorff_distance, inradius_circumradius, save_polyline)
 from .reconstruct import reconstruct_fprime, roundtrip_error
@@ -118,6 +118,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not path.exists():
         raise InvalidInputError(f"config file {path} does not exist")
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # keys are case-sensitive: M0, M1, P vs p
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
@@ -129,7 +130,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     for key, value in parser.items(args.command):
         attr = key.replace("-", "_").lstrip("_")
         if attr not in known:
-            line_no = _find_config_line(path, key)
+            line_no = _find_config_line(path, args.command, key)
             raise InvalidInputError(
                 f"{path}:{line_no}: unknown option {key!r} for command {args.command!r}")
         if getattr(args, attr) is not None and getattr(args, attr) is not False:
@@ -144,15 +145,18 @@ def _apply_config(args: argparse.Namespace) -> None:
             else:
                 parsed = value
         except ValueError:
-            line_no = _find_config_line(path, key)
+            line_no = _find_config_line(path, args.command, key)
             raise InvalidInputError(
                 f"{path}:{line_no}: bad value {value!r} for {key!r}") from None
         setattr(args, attr, parsed)
 
 
-def _find_config_line(path: Path, key: str) -> int:
+def _find_config_line(path: Path, section: str, key: str) -> int:
+    current = None
     for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if line.strip().lower().startswith(key.lower()):
+        if line.strip().startswith("["):
+            current = line.strip()[1:-1].strip()
+        elif current == section and line.replace(":", "=").split("=")[0].strip() == key:
             return i
     return 0
 
@@ -289,36 +293,29 @@ def _cmd_hausdorff(args) -> int:
     return 0
 
 
-def _run_checks(theorem: str, f, f2, alpha: float, n: int, alignment: str,
+def _run_checks(theorem: str, d, partner, alpha: float, alignment: str,
                 overrides: dict, C: float | None):
+    """One theorem's reports for the sample ``d``; the pair theorems compare
+    it with ``partner``, lugua after scaling d's map to the partner's
+    perimeter."""
+    m, M0, M1 = (overrides.get(k) for k in ("m", "M0", "M1"))
     if theorem == "raggi":
-        return stability.check_theorem_raggi(
-            f, alpha, n=n, m=overrides.get("m"), M0=overrides.get("M0"))
+        return stability.check_theorem_raggi(d, alpha, m=m, M0=M0)
     if theorem == "disco":
-        phi = forward_operator(f, n)
-        constant = C if C is not None else 1.0 / phi.L
-        return stability.check_theorem_disco(
-            f, constant, alpha, n=n, alignment=alignment,
-            m=overrides.get("m"), M0=overrides.get("M0"))
+        constant = C if C is not None else 1.0 / d.datum.L
+        return stability.check_theorem_disco(d, constant, alpha, alignment=alignment,
+                                             m=m, M0=M0)
     if theorem == "stab-gen":
-        partner = f2 if f2 is not None else disk()
-        return stability.check_theorem_stab_gen(
-            f, partner, alpha, n=n, alignment=alignment,
-            m=overrides.get("m"), M0=overrides.get("M0"))
+        return stability.check_theorem_stab_gen(d, partner, alpha, alignment=alignment,
+                                                m=m, M0=M0)
     if theorem == "lugua":
-        partner = f2 if f2 is not None else disk()
-        phi1 = forward_operator(f, n)
-        phi2 = forward_operator(partner, n)
+        scaled = d.f.scaled(partner.datum.L / d.datum.L)
         return stability.check_theorem_lugua_hausdorff(
-            phi1, phi2, f, partner, alpha, alignment=alignment,
-            m=overrides.get("m"), M0=overrides.get("M0"), M1=overrides.get("M1"))
+            stability.DomainSample(scaled, d.n), partner, alpha, alignment=alignment,
+            m=m, M0=M0, M1=M1)
     if theorem == "ultimo":
-        partner = f2 if f2 is not None else disk()
-        phi1 = forward_operator(f, n)
-        phi2 = forward_operator(partner, n)
         return stability.check_theorem_ultimo(
-            phi1, phi2, f, partner, alpha, alignment=alignment,
-            m=overrides.get("m"), M0=overrides.get("M0"), M1=overrides.get("M1"),
+            d, partner, alpha, alignment=alignment, m=m, M0=M0, M1=M1,
             p=overrides.get("p"), P=overrides.get("P"))
     raise InvalidInputError(f"unknown theorem selector {theorem!r}")
 
@@ -331,11 +328,13 @@ def _cmd_check(args) -> int:
     theorem = _resolve(args, "theorem", None)
     if theorem is None:
         raise InvalidInputError("missing required option --theorem")
-    f = load_map(_require_file(args.map, "--map"))
-    f2 = load_map(_require_file(args.map2, "--map2")) if getattr(args, "map2", None) else None
+    d = stability.DomainSample(load_map(_require_file(args.map, "--map")), n)
+    f2 = disk()
+    if getattr(args, "map2", None):
+        f2 = load_map(_require_file(args.map2, "--map2"))
     overrides = {k: getattr(args, k) for k in ("m", "M0", "M1", "p", "P")}
-    reports = _run_checks(theorem, f, f2, alpha, n, alignment, overrides,
-                          getattr(args, "c", None))
+    reports = _run_checks(theorem, d, stability.DomainSample(f2, n), alpha, alignment,
+                          overrides, getattr(args, "c", None))
     _write_atomic(out / "report.csv", stability.reports_to_csv(reports))
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -358,22 +357,11 @@ def _parse_eps_range(text: str) -> list[float]:
     return [v for v in values if v <= stop + 1e-12]
 
 
-def _sweep_task(family, eps: float, theorems, alpha: float, n: int,
-                alignment: str, overrides: dict, C: float | None):
-    f = family(eps)
-    reports = []
-    for theorem in theorems:
-        if theorem == "lugua":
-            f1, f2 = equal_perimeter_pair(eps, n=n)
-            phi1 = forward_operator(f1, n)
-            phi2 = forward_operator(f2, n)
-            reports.extend(stability.check_theorem_lugua_hausdorff(
-                phi1, phi2, f1, f2, alpha, alignment=alignment,
-                m=overrides.get("m"), M0=overrides.get("M0"), M1=overrides.get("M1")))
-        else:
-            reports.extend(_run_checks(theorem, f, None, alpha, n, alignment,
-                                       overrides, C))
-    return reports
+def _sweep_task(family, eps: float, theorems, alpha: float, alignment: str,
+                overrides: dict, partner):
+    d = stability.DomainSample(family(eps), partner.n)
+    return [r for theorem in theorems
+            for r in _run_checks(theorem, d, partner, alpha, alignment, overrides, None)]
 
 
 def _cmd_sweep(args) -> int:
@@ -395,16 +383,19 @@ def _cmd_sweep(args) -> int:
     if jobs < 1:
         raise InvalidInputError("--jobs must be at least 1")
     overrides = {k: getattr(args, k, None) for k in ("m", "M0", "M1", "p", "P")}
+    partner = stability.DomainSample(disk(), n)  # the pair theorems' partner at every eps
 
     results: dict[float, list] = {}
     if jobs == 1:
         for eps in eps_values:
-            results[eps] = _sweep_task(family, eps, theorems, alpha, n,
-                                       alignment, overrides, None)
+            results[eps] = _sweep_task(family, eps, theorems, alpha, alignment,
+                                       overrides, partner)
     else:
+        if set(theorems) & {"stab-gen", "lugua", "ultimo"}:
+            partner.fill(alpha)  # before the threads that share it start
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = {eps: pool.submit(_sweep_task, family, eps, theorems,
-                                        alpha, n, alignment, overrides, None)
+                                        alpha, alignment, overrides, partner)
                        for eps in eps_values}
             for eps in eps_values:
                 results[eps] = futures[eps].result()

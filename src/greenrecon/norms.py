@@ -77,15 +77,6 @@ class SampledFunction:
             d = np.minimum(d, self.period - d)
         return d
 
-    def refine_with(self, grid, values) -> "SampledFunction":
-        """New function with extra sample points merged in."""
-        g = np.concatenate([self.grid, np.asarray(grid, dtype=float)])
-        v = np.concatenate([self.values, np.asarray(values, dtype=float)])
-        order = np.argsort(g, kind="stable")
-        g, v = g[order], v[order]
-        keep = np.concatenate([[True], np.diff(g) > 0])
-        return SampledFunction(g[keep], v[keep], periodic=self.periodic, period=self.period)
-
 
 def sup_norm(f: SampledFunction) -> float:
     """Largest absolute sample value (lower bound of the true sup norm)."""

@@ -1,6 +1,8 @@
 """Numerical verification of the stability inequalities.
 
-Each check measures the left-hand side of one inequality (a geometric gap
+Each check reads its domains from :class:`DomainSample` objects, which
+compute each domain's datum, circle pushforward, polyline and norms once.
+It measures the left-hand side of one inequality (a geometric gap
 between two maps or domains), measures the right-hand norms of the datum
 difference, assembles the explicit constant from the hypothesis bounds, and
 reports the ratio lhs / (K * rhs).  A check passes when the ratio does not
@@ -23,7 +25,7 @@ Measurement conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,13 +33,14 @@ from scipy.integrate import quad
 
 from . import norms
 from ._spectral import TrigInterpolant, trig_sup_abs
-from .boundary import BoundaryFunction, build_cumulative
+from .boundary import (BoundaryFunction, build_cumulative,
+                       rescale_to_common_interval)
 from .conformal import ConformalMap, boundary_grid, forward_operator
 from .errors import InvalidInputError
 from .families import disk_for_constant
-from .geometry import (align_rotation, boundary_of, hausdorff_distance,
-                       inradius_circumradius, largest_inscribed_circle,
-                       smallest_enclosing_circle)
+from .geometry import (DomainBoundary, align_rotation, boundary_of,
+                       hausdorff_distance, inradius_circumradius,
+                       largest_inscribed_circle, smallest_enclosing_circle)
 
 TWO_PI = 2.0 * np.pi
 PASS_TOL = 1e-9
@@ -294,19 +297,66 @@ def _push_to_circle(phi: BoundaryFunction, n: int) -> _CircleData:
     return _CircleData(s_nodes=s, psi=psi, psi_prime=dphi / (TWO_PI * psi))
 
 
-def _measured_constants(phis: list[BoundaryFunction], alpha: float,
-                        with_M1: bool = False):
-    m = min(p.min_value() for p in phis)
-    norm0 = [p.holder_norm0(alpha) for p in phis]
-    M0 = max(norm0)
-    M1 = None
-    if with_M1:
-        # the hypothesis constant must dominate both Holder norms
-        M1 = max(max(n0, p.holder_norm1(alpha)) for n0, p in zip(norm0, phis))
-        M1 = max(M1, M0)
-    if m <= 0:
-        raise InvalidInputError("data must be strictly positive for the class bounds")
-    return m, M0, M1
+@dataclass(frozen=True, eq=False)
+class DomainSample:
+    """One domain at grid size n, as every check reads it.
+
+    The map is stored in the canonical frame (f'(0) real positive): every
+    reported quantity is rotation-invariant, and the frame makes the float
+    path independent of the input's orientation.  The boundary datum, its
+    circle pushforward, the boundary polyline and the datum's measured Holder
+    norms (per alpha) are computed on first use and kept, so checks that
+    share a sample share them.  The cache takes no lock: a sample shared by
+    threads must be filled (:meth:`fill`) before they start.
+    """
+
+    f: ConformalMap
+    n: int
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "f", self.f.canonical())
+
+    def _cached(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+    @property
+    def datum(self) -> BoundaryFunction:
+        return self._cached("datum", lambda: forward_operator(self.f, self.n))
+
+    @property
+    def circle(self) -> _CircleData:
+        return self._cached("circle", lambda: _push_to_circle(self.datum, self.n))
+
+    @property
+    def polyline(self) -> DomainBoundary:
+        return self._cached("polyline", lambda: boundary_of(self.f, self.n))
+
+    def seminorm(self, alpha: float) -> float:
+        """[phi]_alpha on the closed arclength interval [0, L]."""
+        return self._cached(("seminorm", alpha), lambda: norms.holder_seminorm(
+            self.datum.as_interval_function(), alpha))
+
+    def norm0(self, alpha: float) -> float:
+        """||phi||_{0,alpha}: sup|phi| + [phi]_alpha, as ``holder_norm0``."""
+        return float(np.max(np.abs(self.datum.values))) + self.seminorm(alpha)
+
+    def norm1(self, alpha: float) -> float:
+        """||phi||_{1,alpha}: sup|phi| + sup|phi'| + [phi']_alpha."""
+        return self._cached(("norm1", alpha), lambda: self.datum.holder_norm1(alpha))
+
+    def fill(self, alpha: float) -> None:
+        """Compute every cached value the checks read at this alpha."""
+        _ = self.circle, self.polyline, self.seminorm(alpha), self.norm1(alpha)
+
+
+def _same_n(d1: DomainSample, d2: DomainSample) -> int:
+    if d1.n != d2.n:
+        raise InvalidInputError(
+            f"samples must share the grid size for comparison, got n = {d1.n} and {d2.n}")
+    return d1.n
 
 
 def _merge_constant(supplied, measured, mode: str, notes: list[str], name: str):
@@ -321,18 +371,22 @@ def _merge_constant(supplied, measured, mode: str, notes: list[str], name: str):
     return measured
 
 
-def _common_frame(f1: ConformalMap, f2: ConformalMap | None):
-    """Rotate both maps by the first one's rotation constant.
-
-    Every reported quantity is rotation-invariant by design; fixing the frame
-    makes the floating-point path independent of the inputs' common
-    orientation, so reports stay orientation-free to rounding level.
-    """
-    a1 = complex(f1.coefficients[1])
-    if abs(a1) == 0:
-        return f1, f2
-    gamma = -float(np.angle(a1))
-    return f1.rotated(gamma), None if f2 is None else f2.rotated(gamma)
+def _class_constants(samples, alpha: float, notes: list[str], m, M0, M1=None,
+                     with_M1: bool = False):
+    """Class constants (m, M0, M1) for the samples' data: each supplied value
+    where the data satisfy it, else the measured one (said in ``notes``).
+    M1 is None unless ``with_M1``."""
+    m_meas = min(d.datum.min_value() for d in samples)
+    if m_meas <= 0:
+        raise InvalidInputError("data must be strictly positive for the class bounds")
+    M0_meas = max(d.norm0(alpha) for d in samples)
+    m = _merge_constant(m, m_meas, "lower", notes, "m")
+    M0 = _merge_constant(M0, M0_meas, "upper", notes, "M0")
+    if not with_M1:
+        return m, M0, None
+    # the hypothesis constant must dominate both Holder norms
+    M1_meas = max(M0_meas, *(d.norm1(alpha) for d in samples))
+    return m, M0, _merge_constant(M1, M1_meas, "upper", notes, "M1")
 
 
 # ---------------------------------------------------------------------------
@@ -372,252 +426,165 @@ def seminorm_bounds(psi1: np.ndarray, psi2: np.ndarray, h: np.ndarray,
     return rows
 
 
-def check_theorem_stab_gen(f1: ConformalMap, f2: ConformalMap, alpha: float,
-                           n: int = 512, alignment: str = "proof",
-                           m: float | None = None, M0: float | None = None
-                           ) -> list[StabilityReport]:
+def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, alpha: float,
+                           alignment: str = "proof", m: float | None = None,
+                           M0: float | None = None) -> list[StabilityReport]:
     """C1-norm gap of two maps against the Holder norm of the gap of their
     circle data, after rotation about the common interior base point."""
+    n = _same_n(d1, d2)
     notes: list[str] = []
-    f1, f2 = _common_frame(f1, f2)
-    phi1 = forward_operator(f1, n)
-    phi2 = forward_operator(f2, n)
-    m_meas, M0_meas, _ = _measured_constants([phi1, phi2], alpha)
-    m_eff = _merge_constant(m, m_meas, "lower", notes, "m")
-    M0_eff = _merge_constant(M0, M0_meas, "upper", notes, "M0")
-    bundle = ConstantsBundle.assemble(alpha, m_eff, M0_eff, L1=phi1.L, L2=phi2.L)
+    m, M0, _ = _class_constants((d1, d2), alpha, notes, m, M0)
+    bundle = ConstantsBundle.assemble(alpha, m, M0, L1=d1.datum.L, L2=d2.datum.L)
 
-    d1 = _push_to_circle(phi1, n)
-    d2 = _push_to_circle(phi2, n)
-    h = np.log(d1.psi) - np.log(d2.psi)
-    phi_seminorms = (
-        norms.holder_seminorm(phi1.as_interval_function(), alpha),
-        norms.holder_seminorm(phi2.as_interval_function(), alpha),
-    )
-    rows = seminorm_bounds(d1.psi, d2.psi, h, alpha, bundle, n=n,
-                           alignment=alignment, phi_seminorms=phi_seminorms)
+    c1, c2 = d1.circle, d2.circle
+    h = np.log(c1.psi) - np.log(c2.psi)
+    rows = seminorm_bounds(c1.psi, c2.psi, h, alpha, bundle, n=n, alignment=alignment,
+                           phi_seminorms=(d1.seminorm(alpha), d2.seminorm(alpha)))
 
-    _, f2r = align_rotation(f1, f2, mode=alignment, n=n)
-    dpsi = d1.psi - d2.psi
+    _, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
+    dpsi = c1.psi - c2.psi
     rhs = trig_sup_abs(dpsi) + _interval_seminorm(dpsi, TWO_PI, alpha)
     rows.append(StabilityReport(
-        theorem="stab_gen", row="map_gap", lhs=_c1_gap(f1, f2r, n),
+        theorem="stab_gen", row="map_gap", lhs=_c1_gap(d1.f, f2r, n),
         rhs_norm=rhs, K=bundle.K_stab, n=n, alignment=alignment, m=bundle.m,
-        M0=bundle.M0, M1=None, L1=phi1.L, L2=phi2.L, alpha=alpha,
+        M0=bundle.M0, M1=None, L1=bundle.L1, L2=bundle.L2, alpha=alpha,
         notes="; ".join(notes)))
     return rows
 
 
-def check_theorem_disco(f: ConformalMap, C: float, alpha: float, n: int = 512,
+def _constant_gap_row(theorem: str, row: str, lhs: float, d: DomainSample,
+                      C: float, alpha: float, alignment: str, m, M0) -> StabilityReport:
+    """A raggi or disco row: lhs against the Holder norm of datum - C on the
+    arclength interval, with the class widened to hold C when it does not."""
+    notes: list[str] = []
+    m, M0, _ = _class_constants((d,), alpha, notes, m, M0)
+    if not m <= C <= M0:
+        # the hypothesis wants C inside [m, M0]; widen the class and say so
+        notes.append(f"C={C:g} outside [m, M0]=[{m:g}, {M0:g}]; widened")
+        m, M0 = min(m, C), max(M0, C)
+    phi = d.datum
+    bundle = ConstantsBundle.assemble(alpha, m, M0, L1=phi.L, L2=1.0 / C)
+    gap = phi.values - C
+    rhs = trig_sup_abs(gap) + _interval_seminorm(gap, phi.L, alpha)
+    # K_raggi and K_disco are the same constant
+    return StabilityReport(
+        theorem=theorem, row=row, lhs=lhs, rhs_norm=rhs, K=bundle.K_disco,
+        n=d.n, alignment=alignment, m=bundle.m, M0=bundle.M0, M1=None,
+        L1=phi.L, L2=1.0 / C, alpha=alpha, notes="; ".join(notes))
+
+
+def check_theorem_disco(d: DomainSample, C: float, alpha: float,
                         alignment: str = "proof", m: float | None = None,
                         M0: float | None = None) -> list[StabilityReport]:
     """Distance of a map from the constant-datum disk map with datum C,
     bounded through the Holder norm of datum - C on the arclength interval."""
     if not C > 0:
         raise InvalidInputError("constant datum must be positive")
-    notes: list[str] = []
-    f, _ = _common_frame(f, None)
-    phi = forward_operator(f, n)
-    m_meas, M0_meas, _ = _measured_constants([phi], alpha)
-    m_eff = _merge_constant(m, m_meas, "lower", notes, "m")
-    M0_eff = _merge_constant(M0, M0_meas, "upper", notes, "M0")
-    if not m_eff <= C <= M0_eff:
-        # the hypothesis wants C inside [m, M0]; widen the class and say so
-        notes.append(f"C={C:g} outside [m, M0]=[{m_eff:g}, {M0_eff:g}]; widened")
-        m_eff = min(m_eff, C)
-        M0_eff = max(M0_eff, C)
-    bundle = ConstantsBundle.assemble(alpha, m_eff, M0_eff, L1=phi.L, L2=1.0 / C)
-
-    _, f_C = align_rotation(f, disk_for_constant(C, zeta_o=f.zeta_o), mode=alignment, n=n)
-    gap = phi.values - C
-    rhs = trig_sup_abs(gap) + _interval_seminorm(gap, phi.L, alpha)
-    return [StabilityReport(
-        theorem="disco", row="map_gap_vs_disk", lhs=_c1_gap(f, f_C, n),
-        rhs_norm=rhs, K=bundle.K_disco, n=n, alignment=alignment, m=bundle.m,
-        M0=bundle.M0, M1=None, L1=phi.L, L2=1.0 / C, alpha=alpha,
-        notes="; ".join(notes))]
+    _, f_C = align_rotation(d.f, disk_for_constant(C, zeta_o=d.f.zeta_o),
+                            mode=alignment, n=d.n)
+    return [_constant_gap_row("disco", "map_gap_vs_disk", _c1_gap(d.f, f_C, d.n),
+                              d, C, alpha, alignment, m, M0)]
 
 
-def check_theorem_raggi(f: ConformalMap, alpha: float, n: int = 512,
-                        m: float | None = None, M0: float | None = None
-                        ) -> list[StabilityReport]:
+def check_theorem_raggi(d: DomainSample, alpha: float, m: float | None = None,
+                        M0: float | None = None) -> list[StabilityReport]:
     """Gap between the centered circumradius and inradius, plus the
     free-center variant, against the Holder norm of datum - 1/(2 pi rho)."""
-    f, _ = _common_frame(f, None)
-    phi = forward_operator(f, n)
-    b = boundary_of(f, n)
+    b = d.polyline
     rho, R = inradius_circumradius(b)
     _, rho_free = largest_inscribed_circle(b)
     _, R_free = smallest_enclosing_circle(b.points)
-
-    rows = []
-    for row_name, lo, hi in (("radii_gap", rho, R),
-                             ("radii_gap_free_center", rho_free, R_free)):
-        notes: list[str] = []
-        C = 1.0 / (TWO_PI * lo)
-        m_meas, M0_meas, _ = _measured_constants([phi], alpha)
-        m_eff = _merge_constant(m, m_meas, "lower", notes, "m")
-        M0_eff = _merge_constant(M0, M0_meas, "upper", notes, "M0")
-        if not m_eff <= C <= M0_eff:
-            m_eff = min(m_eff, C)
-            M0_eff = max(M0_eff, C)
-        bundle = ConstantsBundle.assemble(alpha, m_eff, M0_eff, L1=phi.L, L2=1.0 / C)
-        gap = phi.values - C
-        rhs = trig_sup_abs(gap) + _interval_seminorm(gap, phi.L, alpha)
-        rows.append(StabilityReport(
-            theorem="raggi", row=row_name, lhs=hi - lo, rhs_norm=rhs,
-            K=bundle.K_raggi, n=n, alignment="proof", m=bundle.m, M0=bundle.M0,
-            M1=None, L1=phi.L, L2=1.0 / C, alpha=alpha, notes="; ".join(notes)))
-    return rows
+    return [_constant_gap_row("raggi", row, hi - lo, d, 1.0 / (TWO_PI * lo),
+                              alpha, "proof", m, M0)
+            for row, lo, hi in (("radii_gap", rho, R),
+                                ("radii_gap_free_center", rho_free, R_free))]
 
 
-def _require_same_grid(phi1: BoundaryFunction, phi2: BoundaryFunction) -> int:
-    if phi1.n != phi2.n:
-        raise InvalidInputError("data must share the sample count for comparison")
-    return phi1.n
+def _chain(d1: DomainSample, d2: DomainSample, alpha: float, alignment: str,
+           bundle: ConstantsBundle, notes: list[str], arc_scales, rows
+           ) -> list[StabilityReport]:
+    """The six rows of the equal- and general-perimeter chains.
+
+    Both measure the same left-hand sides: the arclength gap of the inverse
+    cumulative maps (each scaled by ``arc_scales``), sup and seminorm of
+    dpsi, 2 pi sup|dpsi'|, the C1-norm map gap and the Hausdorff distance.
+    ``rows`` holds each theorem's (theorem, row, rhs, K) for all rows but the
+    third, [dpsi]_a <= (2 pi)^(1-a) sup|dpsi'|, which the two share.
+    """
+    n = d1.n
+    c1, c2 = d1.circle, d2.circle
+    dpsi = c1.psi - c2.psi
+    sup_dpsi_prime = trig_sup_abs(c1.psi_prime - c2.psi_prime)
+    _, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
+    lhs = [float(np.max(np.abs(arc_scales[0] * c1.s_nodes - arc_scales[1] * c2.s_nodes))),
+           trig_sup_abs(dpsi), _interval_seminorm(dpsi, TWO_PI, alpha),
+           TWO_PI * sup_dpsi_prime, _c1_gap(d1.f, f2r, n),
+           hausdorff_distance(d1.polyline, boundary_of(f2r, n))]
+    rows = list(rows)
+    rows.insert(2, (rows[0][0], "seminorm_from_derivative", sup_dpsi_prime,
+                    TWO_PI ** (1.0 - alpha)))
+    common = dict(n=n, alignment=alignment, m=bundle.m, M0=bundle.M0, M1=bundle.M1,
+                  L1=bundle.L1, L2=bundle.L2, alpha=alpha, notes="; ".join(notes))
+    return [StabilityReport(theorem=theorem, row=row, lhs=x, rhs_norm=rhs, K=K, **common)
+            for x, (theorem, row, rhs, K) in zip(lhs, rows)]
 
 
-def check_theorem_lugua_hausdorff(phi1: BoundaryFunction, phi2: BoundaryFunction,
-                                  f1: ConformalMap, f2: ConformalMap, alpha: float,
+def check_theorem_lugua_hausdorff(d1: DomainSample, d2: DomainSample, alpha: float,
                                   alignment: str = "proof",
                                   m: float | None = None, M0: float | None = None,
                                   M1: float | None = None) -> list[StabilityReport]:
     """Equal-perimeter stability chain: arclength gap of the inverse
     cumulative maps, sup and derivative gaps of the circle data, the C1-norm
     map gap, and the Hausdorff-distance corollary."""
-    n = _require_same_grid(phi1, phi2)
-    f1, f2 = _common_frame(f1, f2)
+    _same_n(d1, d2)
+    phi1, phi2 = d1.datum, d2.datum
     L = phi1.L
     if abs(phi1.L - phi2.L) > 1e-8 * max(1.0, L):
         raise InvalidInputError(
             "perimeters differ; use check_theorem_ultimo for that case")
     notes: list[str] = []
-    m_meas, M0_meas, M1_meas = _measured_constants([phi1, phi2], alpha, with_M1=True)
-    m_eff = _merge_constant(m, m_meas, "lower", notes, "m")
-    M0_eff = _merge_constant(M0, M0_meas, "upper", notes, "M0")
-    M1_eff = _merge_constant(M1, M1_meas, "upper", notes, "M1")
-    bundle = ConstantsBundle.assemble(alpha, m_eff, M0_eff, M1=M1_eff, L=L,
-                                      L1=phi1.L, L2=phi2.L)
-    note_text = "; ".join(notes)
-
-    d1 = _push_to_circle(phi1, n)
-    d2 = _push_to_circle(phi2, n)
-    common = dict(n=n, alignment=alignment, m=bundle.m, M0=bundle.M0,
-                  M1=bundle.M1, L1=phi1.L, L2=phi2.L, alpha=alpha)
+    m, M0, M1 = _class_constants((d1, d2), alpha, notes, m, M0, M1, with_M1=True)
+    bundle = ConstantsBundle.assemble(alpha, m, M0, M1=M1, L=L, L1=phi1.L, L2=phi2.L)
 
     sup_dphi = trig_sup_abs(phi1.values - phi2.values)
     sup_dphi_prime = trig_sup_abs(phi1.derivative() - phi2.derivative())
-    dpsi = d1.psi - d2.psi
-    sup_dpsi_prime = trig_sup_abs(d1.psi_prime - d2.psi_prime)
-
-    rows = [StabilityReport(
-        theorem="lugua", row="arclength_gap",
-        lhs=float(np.max(np.abs(d1.s_nodes - d2.s_nodes))),
-        rhs_norm=sup_dphi, K=L / bundle.m, notes=note_text, **common)]
-
-    A = bundle.M1 * (L / bundle.m) ** alpha + (2.0 * bundle.M1) ** (1.0 - alpha)
-    rows.append(StabilityReport(
-        theorem="lugua", row="pushforward_sup_gap", lhs=trig_sup_abs(dpsi),
-        rhs_norm=sup_dphi ** alpha, K=A, notes=note_text, **common))
-
-    rows.append(StabilityReport(
-        theorem="lugua", row="seminorm_from_derivative",
-        lhs=_interval_seminorm(dpsi, TWO_PI, alpha),
-        rhs_norm=sup_dpsi_prime, K=TWO_PI ** (1.0 - alpha),
-        notes=note_text, **common))
-
-    B = (bundle.M1 / bundle.m) * (L / bundle.m) ** alpha + (bundle.M1 / bundle.m ** 2) * A
-    rows.append(StabilityReport(
-        theorem="lugua", row="pushforward_derivative_gap",
-        lhs=TWO_PI * sup_dpsi_prime,
-        rhs_norm=B * sup_dphi ** alpha + sup_dphi_prime / bundle.m,
-        K=1.0, notes=note_text, **common))
-
-    _, f2r = align_rotation(f1, f2, mode=alignment, n=n)
-    rows.append(StabilityReport(
-        theorem="lugua", row="map_gap", lhs=_c1_gap(f1, f2r, n),
-        rhs_norm=sup_dphi ** alpha + sup_dphi_prime, K=bundle.K_lugua,
-        notes=note_text, **common))
-
-    d_h = hausdorff_distance(boundary_of(f1, n), boundary_of(f2r, n))
-    rows.append(StabilityReport(
-        theorem="hausdorff", row="hausdorff", lhs=d_h,
-        rhs_norm=(sup_dphi + sup_dphi_prime) ** alpha, K=bundle.K_hausdorff,
-        notes=note_text, **common))
-    return rows
+    A = M1 * (L / m) ** alpha + (2.0 * M1) ** (1.0 - alpha)
+    B = (M1 / m) * (L / m) ** alpha + (M1 / m ** 2) * A
+    return _chain(d1, d2, alpha, alignment, bundle, notes, (1.0, 1.0), [
+        ("lugua", "arclength_gap", sup_dphi, L / m),
+        ("lugua", "pushforward_sup_gap", sup_dphi ** alpha, A),
+        ("lugua", "pushforward_derivative_gap",
+         B * sup_dphi ** alpha + sup_dphi_prime / m, 1.0),
+        ("lugua", "map_gap", sup_dphi ** alpha + sup_dphi_prime, bundle.K_lugua),
+        ("hausdorff", "hausdorff", (sup_dphi + sup_dphi_prime) ** alpha,
+         bundle.K_hausdorff)])
 
 
-def check_theorem_ultimo(phi1: BoundaryFunction, phi2: BoundaryFunction,
-                         f1: ConformalMap, f2: ConformalMap, alpha: float,
+def check_theorem_ultimo(d1: DomainSample, d2: DomainSample, alpha: float,
                          alignment: str = "proof", m: float | None = None,
                          M0: float | None = None, M1: float | None = None,
                          p: float | None = None, P: float | None = None
                          ) -> list[StabilityReport]:
     """General-perimeter stability chain on the rescaled common interval,
     including the Hausdorff-distance corollary."""
-    from .boundary import rescale_to_common_interval
-
-    n = _require_same_grid(phi1, phi2)
-    f1, f2 = _common_frame(f1, f2)
+    _same_n(d1, d2)
+    phi1, phi2 = d1.datum, d2.datum
     notes: list[str] = []
-    m_meas, M0_meas, M1_meas = _measured_constants([phi1, phi2], alpha, with_M1=True)
-    m_eff = _merge_constant(m, m_meas, "lower", notes, "m")
-    M0_eff = _merge_constant(M0, M0_meas, "upper", notes, "M0")
-    M1_eff = _merge_constant(M1, M1_meas, "upper", notes, "M1")
+    m, M0, M1 = _class_constants((d1, d2), alpha, notes, m, M0, M1, with_M1=True)
     L1, L2 = phi1.L, phi2.L
-    p_meas, P_meas = min(L1, L2), max(L1, L2)
-    p_eff = _merge_constant(p, p_meas, "lower", notes, "p")
-    P_eff = _merge_constant(P, P_meas, "upper", notes, "P")
-    bundle = ConstantsBundle.assemble(alpha, m_eff, M0_eff, M1=M1_eff,
-                                      L1=L1, L2=L2, p=p_eff, P=P_eff)
-    note_text = "; ".join(notes)
+    p = _merge_constant(p, min(L1, L2), "lower", notes, "p")
+    P = _merge_constant(P, max(L1, L2), "upper", notes, "P")
+    bundle = ConstantsBundle.assemble(alpha, m, M0, M1=M1, L1=L1, L2=L2, p=p, P=P)
 
     hat1, hat2, L = rescale_to_common_interval(phi1, phi2)
-    d1 = _push_to_circle(phi1, n)
-    d2 = _push_to_circle(phi2, n)
-    shat1 = (L / L1) * d1.s_nodes
-    shat2 = (L / L2) * d2.s_nodes
-
     sup_dhat = trig_sup_abs(hat1.values - hat2.values)
     sup_dhat_prime = trig_sup_abs(hat1.derivative() - hat2.derivative())
-    E = abs(L1 - L2) / bundle.P + sup_dhat / bundle.M1
-    dpsi = d1.psi - d2.psi
-    sup_dpsi_prime = trig_sup_abs(d1.psi_prime - d2.psi_prime)
-    common = dict(n=n, alignment=alignment, m=bundle.m, M0=bundle.M0,
-                  M1=bundle.M1, L1=L1, L2=L2, alpha=alpha)
-
-    rows = [StabilityReport(
-        theorem="ultimo", row="rescaled_arclength_gap",
-        lhs=float(np.max(np.abs(shat1 - shat2))), rhs_norm=E,
-        K=(bundle.M1 / bundle.m) * bundle.P ** 2 / bundle.p,
-        notes=note_text, **common)]
-
-    rows.append(StabilityReport(
-        theorem="ultimo", row="pushforward_sup_gap", lhs=trig_sup_abs(dpsi),
-        rhs_norm=E ** alpha, K=bundle.K1, notes=note_text, **common))
-
-    rows.append(StabilityReport(
-        theorem="ultimo", row="seminorm_from_derivative",
-        lhs=_interval_seminorm(dpsi, TWO_PI, alpha),
-        rhs_norm=sup_dpsi_prime, K=TWO_PI ** (1.0 - alpha),
-        notes=note_text, **common))
-
-    rows.append(StabilityReport(
-        theorem="ultimo", row="pushforward_derivative_gap",
-        lhs=TWO_PI * sup_dpsi_prime,
-        rhs_norm=(bundle.K2 * E ** alpha
-                  + (bundle.P / (bundle.p * bundle.m)) * sup_dhat_prime),
-        K=1.0, notes=note_text, **common))
-
-    _, f2r = align_rotation(f1, f2, mode=alignment, n=n)
-    rows.append(StabilityReport(
-        theorem="ultimo", row="map_gap", lhs=_c1_gap(f1, f2r, n),
-        rhs_norm=E ** alpha + sup_dhat_prime, K=bundle.K_ultimo,
-        notes=note_text, **common))
-
-    d_h = hausdorff_distance(boundary_of(f1, n), boundary_of(f2r, n))
-    rows.append(StabilityReport(
-        theorem="ultimo", row="hausdorff", lhs=d_h,
-        rhs_norm=(sup_dhat + abs(L1 - L2)) ** alpha + sup_dhat_prime,
-        K=bundle.K_corollary, notes=note_text, **common))
-    return rows
+    E = abs(L1 - L2) / P + sup_dhat / M1
+    return _chain(d1, d2, alpha, alignment, bundle, notes, (L / L1, L / L2), [
+        ("ultimo", "rescaled_arclength_gap", E, (M1 / m) * P ** 2 / p),
+        ("ultimo", "pushforward_sup_gap", E ** alpha, bundle.K1),
+        ("ultimo", "pushforward_derivative_gap",
+         bundle.K2 * E ** alpha + (P / (p * m)) * sup_dhat_prime, 1.0),
+        ("ultimo", "map_gap", E ** alpha + sup_dhat_prime, bundle.K_ultimo),
+        ("ultimo", "hausdorff", (sup_dhat + abs(L1 - L2)) ** alpha + sup_dhat_prime,
+         bundle.K_corollary)])

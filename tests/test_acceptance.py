@@ -16,7 +16,7 @@ from greenrecon.geometry import (boundary_of, hausdorff_distance,
                                  inradius_circumradius)
 from greenrecon.norms import SampledFunction, holder_seminorm, sup_norm
 from greenrecon.reconstruct import reconstruct_fprime, roundtrip_error
-from greenrecon.stability import (c_alpha, check_theorem_disco,
+from greenrecon.stability import (DomainSample, c_alpha, check_theorem_disco,
                                   check_theorem_lugua_hausdorff,
                                   check_theorem_raggi, check_theorem_stab_gen,
                                   check_theorem_ultimo)
@@ -114,7 +114,7 @@ def test_criterion_5_theorem_sweeps():
     start = time.perf_counter()
     n = 512
     eps_values = [round(0.01 * k, 10) for k in range(1, 21)]
-    f0 = disk()
+    d0 = DomainSample(disk(), n)
     required_rows = {
         "pushforward_seminorm_1", "pushforward_seminorm_2",
         "log_ratio_seminorm", "arclength_gap", "pushforward_sup_gap",
@@ -125,16 +125,15 @@ def test_criterion_5_theorem_sweeps():
     failures = []
     for alpha in (0.5, 1.0):
         for eps in eps_values:
-            f = perturbed_disk(eps)
+            d = DomainSample(perturbed_disk(eps), n)
             rows = []
-            rows += check_theorem_raggi(f, alpha, n=n)
-            rows += check_theorem_disco(f, 1 / TWO_PI, alpha, n=n)
-            rows += check_theorem_stab_gen(f, f0, alpha, n=n)
+            rows += check_theorem_raggi(d, alpha)
+            rows += check_theorem_disco(d, 1 / TWO_PI, alpha)
+            rows += check_theorem_stab_gen(d, d0, alpha)
             g1, g2 = equal_perimeter_pair(eps, n=n)
             rows += check_theorem_lugua_hausdorff(
-                forward_operator(g1, n), forward_operator(g2, n), g1, g2, alpha)
-            rows += check_theorem_ultimo(
-                forward_operator(f, n), forward_operator(f0, n), f, f0, alpha)
+                DomainSample(g1, n), DomainSample(g2, n), alpha)
+            rows += check_theorem_ultimo(d, d0, alpha)
             for r in rows:
                 seen_rows.add(r.row)
                 if not r.passed:
@@ -189,15 +188,14 @@ def test_criterion_7_rotation_soundness():
 
     def all_checks(rot):
         rows = []
-        rows += check_theorem_stab_gen(fe.rotated(rot), f0.rotated(rot), 0.5, n=n)
-        rows += check_theorem_disco(fe.rotated(rot), 1 / TWO_PI, 0.5, n=n)
-        rows += check_theorem_raggi(fe.rotated(rot), 0.5, n=n)
-        r1, r2 = g1.rotated(rot), g2.rotated(rot)
-        rows += check_theorem_lugua_hausdorff(
-            forward_operator(r1, n), forward_operator(r2, n), r1, r2, 0.5)
-        rows += check_theorem_ultimo(
-            forward_operator(fe.rotated(rot), n), forward_operator(f0.rotated(rot), n),
-            fe.rotated(rot), f0.rotated(rot), 0.5)
+        rows += check_theorem_stab_gen(DomainSample(fe.rotated(rot), n),
+                                       DomainSample(f0.rotated(rot), n), 0.5)
+        rows += check_theorem_disco(DomainSample(fe.rotated(rot), n), 1 / TWO_PI, 0.5)
+        rows += check_theorem_raggi(DomainSample(fe.rotated(rot), n), 0.5)
+        rows += check_theorem_lugua_hausdorff(DomainSample(g1.rotated(rot), n),
+                                              DomainSample(g2.rotated(rot), n), 0.5)
+        rows += check_theorem_ultimo(DomainSample(fe.rotated(rot), n),
+                                     DomainSample(f0.rotated(rot), n), 0.5)
         return rows
 
     base = all_checks(0.0)

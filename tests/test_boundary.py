@@ -36,12 +36,6 @@ class TestBoundaryFunction:
         assert phi.integral() == pytest.approx(1.0, abs=1e-15)
         assert phi.compatibility_residual() <= 1e-15
 
-    def test_shift_by_one_step_is_roll(self):
-        phi = cosine_datum(n=64)
-        step = phi.L / phi.n
-        shifted = phi.shifted(step)
-        assert np.allclose(shifted.values, np.roll(phi.values, -1), atol=1e-12)
-
 
 class TestBuildCumulative:
     def test_constant_datum_identity(self):

@@ -1,8 +1,13 @@
+import math
+import sys
+import threading
+from collections import Counter
+
 import pytest
 
 from greenrecon import stability
 from greenrecon.boundary import load_boundary_data
-from greenrecon.cli import main
+from greenrecon.cli import _apply_config, _build_parser, main
 from greenrecon.conformal import load_map, save_map
 from greenrecon.families import disk, perturbed_disk
 
@@ -62,6 +67,14 @@ class TestCheckCommand:
         code = main(["check", "--theorem", "raggi", "--map", str(disk_map),
                      "--out", str(tmp_path / "o"), "--n", "128"])
         assert code == 2
+
+    def test_lugua_scales_the_map_to_the_disk_perimeter(self, tmp_path, pert_map):
+        out = tmp_path / "out"
+        assert main(["check", "--theorem", "lugua", "--map", str(pert_map),
+                     "--out", str(out), "--n", "128"]) == 0
+        first = (out / "report.csv").read_text().splitlines()[1].split(",")
+        assert first[1] == "arclength_gap"
+        assert float(first[13]) == float(first[14]) == pytest.approx(2 * math.pi)
 
     def test_missing_map_is_input_error(self, tmp_path):
         code = main(["check", "--theorem", "raggi", "--map",
@@ -166,6 +179,22 @@ class TestConfigFile:
         assert main(["check", "--config", str(cfg)]) == 1
         assert "run.cfg:4" in capsys.readouterr().err
 
+    def test_keys_are_case_sensitive(self, tmp_path, disk_map):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[check]\ntheorem = ultimo\nmap = {disk_map}\n"
+                       "M0 = 5\nM1 = 6\nP = 100\np = 0.5\n")
+        args = _build_parser().parse_args(["check", "--config", str(cfg)])
+        _apply_config(args)
+        assert (args.M0, args.M1, args.P, args.p) == (5.0, 6.0, 100.0, 0.5)
+        assert args.m is None
+
+    def test_bad_value_line_is_the_keys_own(self, tmp_path, disk_map, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[sweep]\np = 1\n[check]\ntheorem = raggi\nmap = {disk_map}\n"
+                       "P = 1\np = x\n")
+        assert main(["check", "--config", str(cfg)]) == 1
+        assert "run.cfg:7" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_small_sweep_structure(self, tmp_path):
@@ -206,3 +235,47 @@ class TestSweep:
         assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1-0.2",
                      "--theorem", "disco", "--n", "128",
                      "--out", str(tmp_path / "x")]) == 1
+
+
+def _count_forward_calls(monkeypatch, argv):
+    """(coefficients, n) -> forward_operator calls made by one ``main(argv)``."""
+    calls = Counter()
+    lock = threading.Lock()
+    real = stability.forward_operator
+
+    def counting(f, n, *args, **kwargs):
+        with lock:
+            calls[(tuple(f.coefficients), n)] += 1
+        return real(f, n, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "forward_operator", counting)
+    assert main(argv) == 0
+    return calls
+
+
+class TestSweepComputesEachDatumOnce:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_forward_operator_call_per_domain(self, tmp_path, monkeypatch, jobs):
+        calls = _count_forward_calls(monkeypatch, [
+            "sweep", "--family", "z+eps*z^2", "--eps", "0.05:0.15:0.1",
+            "--theorem", "all", "--alpha", "0.5", "--n", "128",
+            "--jobs", jobs, "--out", str(tmp_path / "s")])
+        # f and its equal-perimeter rescaling per eps, and the unit disk
+        assert len(calls) == 2 * 2 + 1
+        assert set(calls.values()) == {1}
+
+    def test_shared_disk_sample_filled_once_under_thread_stress(self, tmp_path,
+                                                                monkeypatch):
+        # more threads than cores, a short switch interval, and a theorem
+        # whose every task reaches the shared disk sample at once
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            calls = _count_forward_calls(monkeypatch, [
+                "sweep", "--family", "z+eps*z^2", "--eps", "0.01:0.16:0.01",
+                "--theorem", "stab-gen", "--alpha", "0.5", "--n", "64",
+                "--jobs", "8", "--out", str(tmp_path / "s")])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 16 + 1
+        assert set(calls.values()) == {1}

@@ -1,19 +1,22 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from greenrecon import stability
 from greenrecon.conformal import forward_operator
 from greenrecon.errors import InvalidInputError
 from greenrecon.families import disk, disk_for_constant, equal_perimeter_pair, perturbed_disk
-from greenrecon.stability import (ConstantsBundle, StabilityReport,
+from greenrecon.stability import (ConstantsBundle, DomainSample, StabilityReport,
                                   c_alpha, check_theorem_disco,
                                   check_theorem_lugua_hausdorff,
                                   check_theorem_raggi, check_theorem_stab_gen,
                                   check_theorem_ultimo, reports_to_csv,
                                   seminorm_bounds, CSV_HEADER)
 from greenrecon.geometry import boundary_of, hausdorff_distance
+from greenrecon.norms import holder_seminorm
 
 TWO_PI = 2 * np.pi
 
@@ -170,10 +173,50 @@ class TestSeminormBounds:
             seminorm_bounds(psi, bad, psi, 0.5, bundle, n=64)
 
 
+class TestDomainSample:
+    def test_map_stored_in_canonical_frame(self):
+        d = DomainSample(perturbed_disk(0.1).rotated(2.0), 128)
+        a1 = complex(d.f.coefficients[1])
+        assert a1.real > 0 and abs(a1.imag) <= 1e-15
+
+    def test_values_match_direct_computation(self):
+        f = perturbed_disk(0.15)
+        d = DomainSample(f, 256)
+        phi = forward_operator(f, 256)
+        assert np.array_equal(d.datum.values, phi.values)
+        for alpha in (0.5, 1.0):
+            assert d.seminorm(alpha) == holder_seminorm(phi.as_interval_function(), alpha)
+            assert d.norm0(alpha) == phi.holder_norm0(alpha)
+            assert d.norm1(alpha) == phi.holder_norm1(alpha)
+        assert np.array_equal(d.polyline.points, boundary_of(f, 256).points)
+
+    def test_checks_share_one_datum_per_sample(self, monkeypatch):
+        calls = Counter()
+
+        def counting(f, n, *args, **kwargs):
+            calls[(tuple(f.coefficients), n)] += 1
+            return forward_operator(f, n, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "forward_operator", counting)
+        d, d0 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 128)
+        check_theorem_raggi(d, 0.5)
+        check_theorem_disco(d, 1 / TWO_PI, 0.5)
+        check_theorem_stab_gen(d, d0, 0.5)
+        check_theorem_ultimo(d, d0, 0.5)
+        assert sorted(calls.values()) == [1, 1]
+
+    def test_pair_checks_reject_mismatched_n(self):
+        d1, d2 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 256)
+        for check in (check_theorem_stab_gen, check_theorem_lugua_hausdorff,
+                      check_theorem_ultimo):
+            with pytest.raises(InvalidInputError, match="n = 128 and 256"):
+                check(d1, d2, 0.5)
+
+
 class TestStabGen:
     def test_identical_maps(self):
-        f = perturbed_disk(0.1)
-        rows = check_theorem_stab_gen(f, f, 0.5, n=128)
+        d = DomainSample(perturbed_disk(0.1), 128)
+        rows = check_theorem_stab_gen(d, d, 0.5)
         main = rows[-1]
         assert main.row == "map_gap"
         assert main.lhs == 0.0
@@ -182,7 +225,7 @@ class TestStabGen:
     def test_two_disks_closed_form(self):
         rho1, rho2 = 1.0, 1.05
         f1, f2 = disk(rho=rho1), disk(rho=rho2)
-        rows = check_theorem_stab_gen(f1, f2, 0.5, n=128)
+        rows = check_theorem_stab_gen(DomainSample(f1, 128), DomainSample(f2, 128), 0.5)
         main = rows[-1]
         # constant data: sup gap |1/(2 pi rho1) - 1/(2 pi rho2)|, no seminorm
         expected_rhs = abs(1 / (TWO_PI * rho1) - 1 / (TWO_PI * rho2))
@@ -195,15 +238,15 @@ class TestStabGen:
         f0 = disk()
         for alpha in (0.5, 1.0):
             for eps in (0.05, 0.15):
-                rows = check_theorem_stab_gen(perturbed_disk(eps), f0, alpha, n=256)
+                rows = check_theorem_stab_gen(DomainSample(perturbed_disk(eps), 256),
+                                              DomainSample(f0, 256), alpha)
                 assert all(r.passed for r in rows), [
                     (r.row, r.ratio) for r in rows if not r.passed]
 
     def test_optimal_alignment_recorded(self):
-        f1, f2 = perturbed_disk(0.1), disk()
-        by_proof = check_theorem_stab_gen(f1, f2, 0.5, n=128)[-1]
-        by_opt = check_theorem_stab_gen(f1, f2, 0.5, n=128,
-                                        alignment="optimal")[-1]
+        d1, d2 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 128)
+        by_proof = check_theorem_stab_gen(d1, d2, 0.5)[-1]
+        by_opt = check_theorem_stab_gen(d1, d2, 0.5, alignment="optimal")[-1]
         assert by_proof.alignment == "proof"
         assert by_opt.alignment == "optimal"
         assert by_opt.passed
@@ -211,10 +254,10 @@ class TestStabGen:
         assert by_opt.lhs == pytest.approx(by_proof.lhs, abs=1e-6)
 
     def test_supplied_constants_used_or_rejected(self):
-        f = perturbed_disk(0.1)
-        rows = check_theorem_stab_gen(f, disk(), 0.5, n=128, m=0.01, M0=5.0)
+        d1, d2 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 128)
+        rows = check_theorem_stab_gen(d1, d2, 0.5, m=0.01, M0=5.0)
         assert rows[-1].m == 0.01 and rows[-1].M0 == 5.0
-        rows = check_theorem_stab_gen(f, disk(), 0.5, n=128, m=0.5)
+        rows = check_theorem_stab_gen(d1, d2, 0.5, m=0.5)
         assert rows[-1].m < 0.5  # measured fallback
         assert "violated" in rows[-1].notes
 
@@ -222,7 +265,8 @@ class TestStabGen:
 class TestDisco:
     def test_fixed_point(self):
         C = 1 / TWO_PI
-        rows = check_theorem_disco(disk_for_constant(C, gamma=0.4), C, 0.5, n=128)
+        rows = check_theorem_disco(DomainSample(disk_for_constant(C, gamma=0.4), 128),
+                                   C, 0.5)
         assert rows[0].lhs <= 1e-12
         assert rows[0].passed
 
@@ -230,26 +274,26 @@ class TestDisco:
         C = 1 / TWO_PI
         ratios = []
         for eps in (0.02, 0.05, 0.1, 0.2):
-            rows = check_theorem_disco(perturbed_disk(eps), C, 0.5, n=256)
+            rows = check_theorem_disco(DomainSample(perturbed_disk(eps), 256), C, 0.5)
             assert all(r.passed for r in rows)
             ratios.append(rows[0].ratio)
         # diagnostic only: the tightness profile is logged, not asserted
         print("disco tightness vs eps:", ratios)
 
     def test_constant_outside_class_noted(self):
-        rows = check_theorem_disco(perturbed_disk(0.05), 5.0, 0.5, n=128)
+        rows = check_theorem_disco(DomainSample(perturbed_disk(0.05), 128), 5.0, 0.5)
         assert "outside" in rows[0].notes
 
 
 class TestRaggi:
     def test_disk(self):
-        rows = check_theorem_raggi(disk(rho=0.8), 0.5, n=128)
+        rows = check_theorem_raggi(DomainSample(disk(rho=0.8), 128), 0.5)
         assert rows[0].row == "radii_gap"
         assert rows[0].lhs <= 1e-12
         assert all(r.passed for r in rows)
 
     def test_quadratic_closed_form(self):
-        rows = check_theorem_raggi(perturbed_disk(0.1), 0.5, n=1024)
+        rows = check_theorem_raggi(DomainSample(perturbed_disk(0.1), 1024), 0.5)
         main = rows[0]
         assert main.lhs == pytest.approx(0.2, abs=1e-6)
         # C = 1/(2 pi rho) with rho = 0.9 enters through L2 = 1/C
@@ -259,7 +303,7 @@ class TestRaggi:
     def test_sweep_ratio_bounded(self):
         ratios = []
         for eps in (0.05, 0.1, 0.15, 0.2):
-            rows = check_theorem_raggi(perturbed_disk(eps), 0.5, n=256)
+            rows = check_theorem_raggi(DomainSample(perturbed_disk(eps), 256), 0.5)
             assert all(r.passed for r in rows)
             ratios.append(rows[0].ratio)
         assert max(ratios) <= 1.0  # comfortably inside the bound
@@ -267,13 +311,13 @@ class TestRaggi:
 
 def lugua_inputs(eps, n=256):
     f1, f2 = equal_perimeter_pair(eps, n=n)
-    return forward_operator(f1, n), forward_operator(f2, n), f1, f2
+    return DomainSample(f1, n), DomainSample(f2, n)
 
 
 class TestLuguaHausdorff:
     def test_equal_data_trivial(self):
-        phi1, phi2, f1, f2 = lugua_inputs(0.0)
-        rows = check_theorem_lugua_hausdorff(phi1, phi2, f1, f2, 0.5)
+        d1, d2 = lugua_inputs(0.0)
+        rows = check_theorem_lugua_hausdorff(d1, d2, 0.5)
         assert [r.row for r in rows] == [
             "arclength_gap", "pushforward_sup_gap", "seminorm_from_derivative",
             "pushforward_derivative_gap", "map_gap", "hausdorff"]
@@ -282,31 +326,30 @@ class TestLuguaHausdorff:
 
     def test_perturbed_pair_passes(self):
         for alpha in (0.5, 1.0):
-            phi1, phi2, f1, f2 = lugua_inputs(0.1)
-            rows = check_theorem_lugua_hausdorff(phi1, phi2, f1, f2, alpha)
+            d1, d2 = lugua_inputs(0.1)
+            rows = check_theorem_lugua_hausdorff(d1, d2, alpha)
             assert all(r.passed for r in rows), [
                 (r.row, r.ratio) for r in rows if not r.passed]
 
     def test_hausdorff_row_matches_geometry(self):
-        phi1, phi2, f1, f2 = lugua_inputs(0.12)
-        rows = check_theorem_lugua_hausdorff(phi1, phi2, f1, f2, 0.5)
-        d = hausdorff_distance(boundary_of(f1, phi1.n), boundary_of(f2, phi1.n))
+        d1, d2 = lugua_inputs(0.12)
+        rows = check_theorem_lugua_hausdorff(d1, d2, 0.5)
+        d = hausdorff_distance(boundary_of(d1.f, d1.n), boundary_of(d2.f, d1.n))
         # proof alignment leaves the disk partner in place here (gamma = 0)
         assert rows[-1].lhs == pytest.approx(d, abs=1e-12)
 
     def test_unequal_perimeters_redirected(self):
         n = 128
-        phi1 = forward_operator(perturbed_disk(0.1), n)
-        phi2 = forward_operator(disk(), n)
+        d1, d2 = DomainSample(perturbed_disk(0.1), n), DomainSample(disk(), n)
         with pytest.raises(InvalidInputError, match="ultimo"):
-            check_theorem_lugua_hausdorff(phi1, phi2, perturbed_disk(0.1), disk(), 0.5)
+            check_theorem_lugua_hausdorff(d1, d2, 0.5)
 
 
 class TestUltimo:
     def test_equal_perimeters_reduce_to_lugua(self):
-        phi1, phi2, f1, f2 = lugua_inputs(0.1)
-        lugua = check_theorem_lugua_hausdorff(phi1, phi2, f1, f2, 0.5)
-        ultimo = check_theorem_ultimo(phi1, phi2, f1, f2, 0.5)
+        d1, d2 = lugua_inputs(0.1)
+        lugua = check_theorem_lugua_hausdorff(d1, d2, 0.5)
+        ultimo = check_theorem_ultimo(d1, d2, 0.5)
         by_row_l = {r.row: r for r in lugua}
         by_row_u = {r.row: r for r in ultimo}
         pairs = [("arclength_gap", "rescaled_arclength_gap"),
@@ -321,10 +364,8 @@ class TestUltimo:
     def test_two_disks_closed_form(self):
         n = 256
         rho1, rho2 = 1.0, 1.05
-        f1, f2 = disk(rho=rho1), disk(rho=rho2)
-        phi1 = forward_operator(f1, n)
-        phi2 = forward_operator(f2, n)
-        rows = check_theorem_ultimo(phi1, phi2, f1, f2, 0.5)
+        d1, d2 = DomainSample(disk(rho=rho1), n), DomainSample(disk(rho=rho2), n)
+        rows = check_theorem_ultimo(d1, d2, 0.5)
         by_row = {r.row: r for r in rows}
         L1, L2 = TWO_PI * rho1, TWO_PI * rho2
         M1 = 1 / (TWO_PI * rho1)  # the larger of the two constant data norms
@@ -339,19 +380,15 @@ class TestUltimo:
     def test_perturbed_pair_passes(self):
         n = 256
         for alpha in (0.5, 1.0):
-            f1, f2 = perturbed_disk(0.15), disk()
-            phi1 = forward_operator(f1, n)
-            phi2 = forward_operator(f2, n)
-            rows = check_theorem_ultimo(phi1, phi2, f1, f2, alpha)
+            d1, d2 = DomainSample(perturbed_disk(0.15), n), DomainSample(disk(), n)
+            rows = check_theorem_ultimo(d1, d2, alpha)
             assert all(r.passed for r in rows), [
                 (r.row, r.ratio) for r in rows if not r.passed]
 
     def test_hypothesis_perimeter_bounds_fall_back(self):
         n = 128
-        f1, f2 = perturbed_disk(0.1), disk()
-        phi1 = forward_operator(f1, n)
-        phi2 = forward_operator(f2, n)
-        rows = check_theorem_ultimo(phi1, phi2, f1, f2, 0.5, p=7.0)
+        d1, d2 = DomainSample(perturbed_disk(0.1), n), DomainSample(disk(), n)
+        rows = check_theorem_ultimo(d1, d2, 0.5, p=7.0)
         assert "violated" in rows[0].notes
         assert all(r.passed for r in rows)
 
@@ -367,11 +404,11 @@ class TestRotationSoundness:
         rng = np.random.default_rng(17)
         f1 = perturbed_disk(0.12)
         f2 = disk()
-        base = check_theorem_stab_gen(f1, f2, 0.5, n=128)
+        base = check_theorem_stab_gen(DomainSample(f1, 128), DomainSample(f2, 128), 0.5)
         for _ in range(5):
             delta = float(rng.uniform(0, TWO_PI))
-            rows = check_theorem_stab_gen(f1.rotated(delta), f2.rotated(delta),
-                                          0.5, n=128)
+            rows = check_theorem_stab_gen(DomainSample(f1.rotated(delta), 128),
+                                          DomainSample(f2.rotated(delta), 128), 0.5)
             for r0, r1 in zip(base, rows):
                 assert np.max(np.abs(_report_fields(r0) - _report_fields(r1))) <= 1e-9
 
@@ -380,7 +417,8 @@ class TestRefinementSoundness:
     def test_doubling_n_keeps_passes(self):
         f = perturbed_disk(0.15)
         for n in (128, 256):
-            rows = check_theorem_stab_gen(f, disk(), 0.5, n=n)
-            rows += check_theorem_raggi(f, 0.5, n=n)
-            rows += check_theorem_disco(f, 1 / TWO_PI, 0.5, n=n)
+            d = DomainSample(f, n)
+            rows = check_theorem_stab_gen(d, DomainSample(disk(), n), 0.5)
+            rows += check_theorem_raggi(d, 0.5)
+            rows += check_theorem_disco(d, 1 / TWO_PI, 0.5)
             assert all(r.passed for r in rows)
