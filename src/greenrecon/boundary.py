@@ -123,10 +123,9 @@ class CumulativeMap:
     interpolant with a bisection fallback; endpoints map exactly.
     """
 
-    def __init__(self, cumulative: CumulativeTrig, L: float, min_phi: float):
+    def __init__(self, cumulative: CumulativeTrig, L: float):
         self._cum = cumulative
         self.L = float(L)
-        self.min_phi = float(min_phi)
 
     def theta_of(self, s) -> np.ndarray:
         """Phi at arbitrary arclength points."""
@@ -165,10 +164,9 @@ def build_cumulative(phi: BoundaryFunction, renormalize: bool = False) -> Cumula
         values = values / integral
     interp = TrigInterpolant(values, phi.L)
     cumulative = interp.antiderivative(mean=1.0 / phi.L)
-    min_phi = float(np.min(values))
-    if min_phi <= 0:
+    if np.min(values) <= 0:
         raise InvalidInputError("datum must be strictly positive to be invertible")
-    return CumulativeMap(cumulative, phi.L, min_phi)
+    return CumulativeMap(cumulative, phi.L)
 
 
 def invert_cumulative(cm: CumulativeMap, theta) -> np.ndarray | float:

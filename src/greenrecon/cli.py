@@ -379,7 +379,12 @@ def _cmd_sweep(args) -> int:
     theorems = list(THEOREMS) if theorem == "all" else [theorem]
     jobs = _resolve(args, "jobs", None)
     if jobs is None:
-        jobs = int(os.environ.get("GREENRECON_JOBS", "1"))
+        text = os.environ.get("GREENRECON_JOBS", "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise InvalidInputError(
+                f"GREENRECON_JOBS must be an integer, got {text!r}") from None
     if jobs < 1:
         raise InvalidInputError("--jobs must be at least 1")
     overrides = {k: getattr(args, k, None) for k in ("m", "M0", "M1", "p", "P")}

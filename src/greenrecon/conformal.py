@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spectral import TrigInterpolant, _horner, invert_increasing, uniform_grid
+from ._spectral import (TrigInterpolant, _horner, derivative_samples, invert_increasing,
+                        uniform_grid)
 from .boundary import BoundaryFunction
 from .errors import AliasingError, DataFormatError, DegenerateMapError, InvalidInputError
 
@@ -241,14 +242,17 @@ def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFun
     return BoundaryFunction(values, L, alpha=alpha, derivative_values=derivative)
 
 
-def pushforward_datum(f: ConformalMap, n: int) -> np.ndarray:
-    """The datum transported to the circle: 1/(2*pi*|f'|) at the theta grid.
+def pushforward_datum(f: ConformalMap, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The datum transported to the circle, psi = 1/(2*pi*|f'|), and its
+    theta-derivative psi' = -(|f'|)'/(2*pi*|f'|^2), at the theta grid.
 
-    This equals the composition of the arclength datum with the inverse
-    cumulative map, without leaving the circle parametrization.
+    psi equals the arclength datum composed with the inverse cumulative map,
+    read off the map without an inversion; (|f'|)' is the spectral derivative
+    of the speed samples, in the canonical frame as in :func:`forward_operator`.
     """
-    grid = eval_fprime(f, n)
-    return 1.0 / (TWO_PI * grid.modulus)
+    speed = eval_fprime(f.canonical(), n).modulus
+    return (1.0 / (TWO_PI * speed),
+            -derivative_samples(speed, TWO_PI) / (TWO_PI * speed ** 2))
 
 
 def save_map(path, f: ConformalMap) -> None:

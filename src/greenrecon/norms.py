@@ -71,12 +71,6 @@ class SampledFunction:
     def n(self) -> int:
         return self.grid.size
 
-    def distances(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        d = np.abs(self.grid[i] - self.grid[j])
-        if self.periodic:
-            d = np.minimum(d, self.period - d)
-        return d
-
 
 def sup_norm(f: SampledFunction) -> float:
     """Largest absolute sample value (lower bound of the true sup norm)."""

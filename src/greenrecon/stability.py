@@ -32,10 +32,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import norms
-from ._spectral import TrigInterpolant, trig_sup_abs
-from .boundary import (BoundaryFunction, build_cumulative,
-                       rescale_to_common_interval)
-from .conformal import ConformalMap, boundary_grid, forward_operator
+from ._spectral import trig_sup_abs
+from .boundary import BoundaryFunction, rescale_to_common_interval
+from .conformal import (ConformalMap, _check_grid, boundary_grid, forward_operator,
+                        pushforward_datum)
 from .errors import InvalidInputError
 from .families import disk_for_constant
 from .geometry import (DomainBoundary, align_rotation, boundary_of,
@@ -105,7 +105,6 @@ class ConstantsBundle:
     C2: float = 0.0
     K_stab: float = 0.0
     K_disco: float = 0.0
-    K_raggi: float = 0.0
     K1: float | None = None
     K2: float | None = None
     K_lugua: float = math.nan
@@ -140,7 +139,6 @@ class ConstantsBundle:
         # Lipschitz constant of the inverse cumulative map (1/(2 pi m)) on the
         # seminorm term only:
         K_disco = K_stab * (1.0 + 1.0 / (TWO_PI * m) ** alpha)
-        K_raggi = K_disco
 
         K1 = K2 = None
         K_lugua = math.nan
@@ -177,8 +175,7 @@ class ConstantsBundle:
                                     TWO_PI ** (-alpha) * P / (p * m))
         return cls(alpha=alpha, m=m, M0=M0, M1=M1, L=L, L1=L1, L2=L2, p=p, P=P,
                    c_alpha=ca, C1=C1, C2=C2, K_stab=K_stab, K_disco=K_disco,
-                   K_raggi=K_raggi, K1=K1, K2=K2, K_lugua=K_lugua,
-                   K_ultimo=K_ultimo)
+                   K1=K1, K2=K2, K_lugua=K_lugua, K_ultimo=K_ultimo)
 
     @property
     def K_hausdorff(self) -> float:
@@ -277,37 +274,19 @@ def _c1_gap(f1: ConformalMap, f2: ConformalMap, n: int) -> float:
     return float(np.max(np.abs(df)) + np.max(np.abs(dfp)))
 
 
-@dataclass(frozen=True)
-class _CircleData:
-    """A datum pushed to the circle grid through its cumulative map."""
-
-    s_nodes: np.ndarray
-    psi: np.ndarray
-    psi_prime: np.ndarray
-
-
-def _push_to_circle(phi: BoundaryFunction, n: int) -> _CircleData:
-    cm = build_cumulative(phi)
-    s = cm.s_of(boundary_grid(n))
-    psi = phi.interpolant()(s)
-    if np.min(psi) <= 0:
-        raise InvalidInputError("datum must be strictly positive on the circle grid")
-    dphi = TrigInterpolant(phi.derivative(), phi.L)(s)
-    # d/d theta of phi(Phi^{-1}) with (Phi^{-1})' = 1/(2 pi psi)
-    return _CircleData(s_nodes=s, psi=psi, psi_prime=dphi / (TWO_PI * psi))
-
-
 @dataclass(frozen=True, eq=False)
 class DomainSample:
     """One domain at grid size n, as every check reads it.
 
     The map is stored in the canonical frame (f'(0) real positive): every
     reported quantity is rotation-invariant, and the frame makes the float
-    path independent of the input's orientation.  The boundary datum, its
-    circle pushforward, the boundary polyline and the datum's measured Holder
-    norms (per alpha) are computed on first use and kept, so checks that
-    share a sample share them.  The cache takes no lock: a sample shared by
-    threads must be filled (:meth:`fill`) before they start.
+    path independent of the input's orientation.  A grid too coarse for the
+    map is rejected here.  The boundary datum, the circle data (psi, psi')
+    read off the map, the boundary polyline with its arclength tags and the
+    datum's measured Holder norms (per alpha) are computed on first use and
+    kept, so checks that share a sample share them.  The cache takes no
+    lock: a sample shared by threads must be filled (:meth:`fill`) before
+    they start.
     """
 
     f: ConformalMap
@@ -316,6 +295,7 @@ class DomainSample:
 
     def __post_init__(self):
         object.__setattr__(self, "f", self.f.canonical())
+        _check_grid(self.f, self.n)
 
     def _cached(self, key, compute):
         if key not in self._cache:
@@ -327,8 +307,9 @@ class DomainSample:
         return self._cached("datum", lambda: forward_operator(self.f, self.n))
 
     @property
-    def circle(self) -> _CircleData:
-        return self._cached("circle", lambda: _push_to_circle(self.datum, self.n))
+    def circle(self) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, psi') at the theta grid, as :func:`pushforward_datum`."""
+        return self._cached("circle", lambda: pushforward_datum(self.f, self.n))
 
     @property
     def polyline(self) -> DomainBoundary:
@@ -436,13 +417,13 @@ def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, alpha: float,
     m, M0, _ = _class_constants((d1, d2), alpha, notes, m, M0)
     bundle = ConstantsBundle.assemble(alpha, m, M0, L1=d1.datum.L, L2=d2.datum.L)
 
-    c1, c2 = d1.circle, d2.circle
-    h = np.log(c1.psi) - np.log(c2.psi)
-    rows = seminorm_bounds(c1.psi, c2.psi, h, alpha, bundle, n=n, alignment=alignment,
+    (psi1, _), (psi2, _) = d1.circle, d2.circle
+    h = np.log(psi1) - np.log(psi2)
+    rows = seminorm_bounds(psi1, psi2, h, alpha, bundle, n=n, alignment=alignment,
                            phi_seminorms=(d1.seminorm(alpha), d2.seminorm(alpha)))
 
     _, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
-    dpsi = c1.psi - c2.psi
+    dpsi = psi1 - psi2
     rhs = trig_sup_abs(dpsi) + _interval_seminorm(dpsi, TWO_PI, alpha)
     rows.append(StabilityReport(
         theorem="stab_gen", row="map_gap", lhs=_c1_gap(d1.f, f2r, n),
@@ -466,7 +447,7 @@ def _constant_gap_row(theorem: str, row: str, lhs: float, d: DomainSample,
     bundle = ConstantsBundle.assemble(alpha, m, M0, L1=phi.L, L2=1.0 / C)
     gap = phi.values - C
     rhs = trig_sup_abs(gap) + _interval_seminorm(gap, phi.L, alpha)
-    # K_raggi and K_disco are the same constant
+    # raggi's inequality carries disco's constant
     return StabilityReport(
         theorem=theorem, row=row, lhs=lhs, rhs_norm=rhs, K=bundle.K_disco,
         n=d.n, alignment=alignment, m=bundle.m, M0=bundle.M0, M1=None,
@@ -512,11 +493,12 @@ def _chain(d1: DomainSample, d2: DomainSample, alpha: float, alignment: str,
     third, [dpsi]_a <= (2 pi)^(1-a) sup|dpsi'|, which the two share.
     """
     n = d1.n
-    c1, c2 = d1.circle, d2.circle
-    dpsi = c1.psi - c2.psi
-    sup_dpsi_prime = trig_sup_abs(c1.psi_prime - c2.psi_prime)
+    (psi1, psi1_prime), (psi2, psi2_prime) = d1.circle, d2.circle
+    dpsi = psi1 - psi2
+    sup_dpsi_prime = trig_sup_abs(psi1_prime - psi2_prime)
+    s1, s2 = d1.polyline.arclengths, d2.polyline.arclengths
     _, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
-    lhs = [float(np.max(np.abs(arc_scales[0] * c1.s_nodes - arc_scales[1] * c2.s_nodes))),
+    lhs = [float(np.max(np.abs(arc_scales[0] * s1 - arc_scales[1] * s2))),
            trig_sup_abs(dpsi), _interval_seminorm(dpsi, TWO_PI, alpha),
            TWO_PI * sup_dpsi_prime, _c1_gap(d1.f, f2r, n),
            hausdorff_distance(d1.polyline, boundary_of(f2r, n))]

@@ -231,6 +231,14 @@ class TestSweep:
                      "--theorem", "raggi", "--alpha", "0.5", "--n", "128",
                      "--out", str(out)]) == 0
 
+    def test_non_integer_env_jobs_is_input_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GREENRECON_JOBS", "two")
+        assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.1:0.1",
+                     "--theorem", "raggi", "--n", "128",
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "GREENRECON_JOBS" in err and "'two'" in err
+
     def test_bad_eps_range(self, tmp_path):
         assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1-0.2",
                      "--theorem", "disco", "--n", "128",

@@ -171,18 +171,23 @@ class TestForwardOperator:
         assert np.max(np.abs(TWO_PI * datum_at_s * s_prime - 1)) <= 1e-8
 
     def test_pushforward_routes_agree(self):
-        # 1/(2 pi |f'|) on the circle grid equals the arclength datum pulled
-        # back through the inverse cumulative map
+        # the map route (psi = 1/(2 pi |f'|), psi' from the spectral derivative
+        # of |f'|, s from the polyline's arclength tags) equals the arclength
+        # datum pulled back through its inverse cumulative map
+        from greenrecon._spectral import TrigInterpolant
         from greenrecon.boundary import build_cumulative
-        from greenrecon.conformal import pushforward_datum
+        from greenrecon.stability import DomainSample
 
-        f = perturbed_disk(0.15)
-        n = 256
-        direct = pushforward_datum(f, n)
-        phi = forward_operator(f, n)
-        cm = build_cumulative(phi)
-        via_data = phi.interpolant()(cm.s_of(boundary_grid(n)))
-        assert np.max(np.abs(direct - via_data)) <= 1e-10
+        for eps, n in ((0.05, 128), (0.15, 256), (0.3, 1024)):
+            d = DomainSample(perturbed_disk(eps), n)
+            phi = forward_operator(d.f, n)
+            s = build_cumulative(phi).s_of(boundary_grid(n))
+            psi = phi.interpolant()(s)
+            psi_prime = TrigInterpolant(phi.derivative(), phi.L)(s) / (TWO_PI * psi)
+            direct, direct_prime = d.circle
+            assert np.max(np.abs(d.polyline.arclengths - s)) <= 1e-14
+            assert np.max(np.abs(direct - psi)) <= 1e-14
+            assert np.max(np.abs(direct_prime - psi_prime)) <= 1e-12
 
     def test_rotation_covariance(self):
         f = perturbed_disk(0.12)

@@ -1,13 +1,15 @@
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from greenrecon import stability
+from greenrecon import boundary, stability
+from greenrecon._spectral import invert_increasing
 from greenrecon.conformal import forward_operator
-from greenrecon.errors import InvalidInputError
+from greenrecon.errors import AliasingError, InvalidInputError
 from greenrecon.families import disk, disk_for_constant, equal_perimeter_pair, perturbed_disk
 from greenrecon.stability import (ConstantsBundle, DomainSample, StabilityReport,
                                   c_alpha, check_theorem_disco,
@@ -204,6 +206,43 @@ class TestDomainSample:
         check_theorem_stab_gen(d, d0, 0.5)
         check_theorem_ultimo(d, d0, 0.5)
         assert sorted(calls.values()) == [1, 1]
+
+    def test_under_resolved_grid_rejected_at_construction(self):
+        with pytest.raises(AliasingError, match="grid size 64"):
+            DomainSample(perturbed_disk(0.1, k=40), 64)
+
+    def test_circle_derivative_against_mpmath(self):
+        # psi' = -(d|f'|/d theta) / (2 pi |f'|^2), with
+        # d|f'|/d theta = Re(conj(f') i z f'') / |f'| at z = e^{i theta}
+        n = 512
+        d = DomainSample(perturbed_disk(0.35), n)
+        _, psi_prime = d.circle
+        a = [mpmath.mpc(complex(c)) for c in d.f.coefficients]
+        with mpmath.workdps(40):
+            ref = []
+            for k in range(n):
+                z = mpmath.expj(2 * mpmath.pi * k / n)
+                fp = sum(j * a[j] * z ** (j - 1) for j in range(1, len(a)))
+                fpp = sum(j * (j - 1) * a[j] * z ** (j - 2) for j in range(2, len(a)))
+                speed = abs(fp)
+                dspeed = mpmath.re(mpmath.conj(fp) * 1j * z * fpp) / speed
+                ref.append(float(-dspeed / (2 * mpmath.pi * speed ** 2)))
+        assert np.max(np.abs(psi_prime - np.array(ref))) <= 1e-12
+
+    def test_circle_runs_no_inversion(self, monkeypatch):
+        d = DomainSample(perturbed_disk(0.15), 256)
+        _ = d.datum
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return invert_increasing(*args, **kwargs)
+
+        monkeypatch.setattr(boundary, "invert_increasing", counting)
+        _ = d.circle
+        assert calls == []
+        boundary.build_cumulative(d.datum).s_of(1.0)  # the datum route is counted
+        assert calls == [1]
 
     def test_pair_checks_reject_mismatched_n(self):
         d1, d2 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 256)
