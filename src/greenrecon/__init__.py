@@ -18,14 +18,13 @@ from .errors import (AliasingError, CompatibilityError, ConvergenceError,
 from .geometry import (DomainBoundary, align_rotation, boundary_of,
                        hausdorff_discretization_bound, hausdorff_distance,
                        inradius_circumradius)
-from .norms import (SampledFunction, composition_seminorm_bound,
-                    holder_norm, holder_seminorm, sup_norm)
+from .norms import SampledFunction, holder_norm, holder_seminorm, sup_norm
 from .reconstruct import (ReconstructionResult, integrate_series,
                           reconstruct_fprime, roundtrip_error)
 from .stability import (ConstantsBundle, DomainSample, StabilityReport, c_alpha,
                         check_theorem_disco, check_theorem_lugua_hausdorff,
                         check_theorem_raggi, check_theorem_stab_gen,
-                        check_theorem_ultimo, reports_to_csv, seminorm_bounds)
+                        check_theorem_ultimo, reports_to_csv)
 
 __version__ = "0.1.0"
 
@@ -38,11 +37,11 @@ __all__ = [
     "align_rotation", "arclength", "boundary_of", "build_cumulative",
     "c_alpha", "check_theorem_disco", "check_theorem_lugua_hausdorff",
     "check_theorem_raggi", "check_theorem_stab_gen", "check_theorem_ultimo",
-    "composition_seminorm_bound", "eval_boundary", "eval_fprime",
+    "eval_boundary", "eval_fprime",
     "forward_operator", "hausdorff_discretization_bound", "hausdorff_distance",
     "holder_norm", "holder_seminorm", "inradius_circumradius",
     "integrate_series", "invert_cumulative", "load_boundary_data", "load_map",
     "reconstruct_fprime", "reports_to_csv", "rescale_to_common_interval",
-    "roundtrip_error", "save_boundary_data", "save_map", "seminorm_bounds",
+    "roundtrip_error", "save_boundary_data", "save_map",
     "sup_norm", "validate_class",
 ]

@@ -97,9 +97,7 @@ class BoundaryFunction:
     def as_interval_function(self) -> norms.SampledFunction:
         """The datum as a function on the closed interval [0, L] (plain
         distances), with the right endpoint duplicating the left one."""
-        grid = np.concatenate([self.grid, [self.L]])
-        values = np.concatenate([self.values, [self.values[0]]])
-        return norms.SampledFunction(grid, values)
+        return norms.closed_interval(self.values, self.L)
 
     def holder_norm0(self, alpha: float | None = None) -> float:
         """Measured ||phi||_{0,alpha,[0,L]} on the grid."""

@@ -163,7 +163,7 @@ def _find_config_line(path: Path, section: str, key: str) -> int:
 
 def _resolve(args, name, default):
     value = getattr(args, name, None)
-    return default if value in (None, False) else value
+    return default if value is None or value is False else value
 
 
 def _check_n(n: int) -> int:
@@ -385,7 +385,9 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             raise InvalidInputError(
                 f"GREENRECON_JOBS must be an integer, got {text!r}") from None
-    if jobs < 1:
+        if jobs < 1:
+            raise InvalidInputError(f"GREENRECON_JOBS must be at least 1, got {text!r}")
+    elif jobs < 1:
         raise InvalidInputError("--jobs must be at least 1")
     overrides = {k: getattr(args, k, None) for k in ("m", "M0", "M1", "p", "P")}
     partner = stability.DomainSample(disk(), n)  # the pair theorems' partner at every eps

@@ -94,12 +94,15 @@ class ConformalMap:
 
         Rotation-invariant quantities (speed, arclength, datum) computed in
         this frame agree to rounding level for commonly rotated inputs, which
-        keeps downstream reports orientation-free.
+        keeps downstream reports orientation-free.  f'(0) is set to exactly
+        |f'(0)|, so the result is its own canonical map.
         """
         a1 = complex(self.coefficients[1])
         if abs(a1) == 0 or a1.imag == 0 and a1.real > 0:
             return self
-        return self.rotated(-float(np.angle(a1)))
+        coeffs = self.rotated(-float(np.angle(a1))).coefficients
+        coeffs[1] = abs(a1)
+        return ConformalMap(coeffs)
 
     def validate(self, n: int = 512) -> list[str]:
         """Univalence proxy: nonvanishing f' on a dense boundary grid and a

@@ -105,6 +105,8 @@ class ConstantsBundle:
     C2: float = 0.0
     K_stab: float = 0.0
     K_disco: float = 0.0
+    A: float | None = None
+    B: float | None = None
     K1: float | None = None
     K2: float | None = None
     K_lugua: float = math.nan
@@ -140,7 +142,7 @@ class ConstantsBundle:
         # seminorm term only:
         K_disco = K_stab * (1.0 + 1.0 / (TWO_PI * m) ** alpha)
 
-        K1 = K2 = None
+        A = B = K1 = K2 = None
         K_lugua = math.nan
         K_ultimo = math.nan
         if M1 is not None and L is not None:
@@ -175,7 +177,7 @@ class ConstantsBundle:
                                     TWO_PI ** (-alpha) * P / (p * m))
         return cls(alpha=alpha, m=m, M0=M0, M1=M1, L=L, L1=L1, L2=L2, p=p, P=P,
                    c_alpha=ca, C1=C1, C2=C2, K_stab=K_stab, K_disco=K_disco,
-                   K1=K1, K2=K2, K_lugua=K_lugua, K_ultimo=K_ultimo)
+                   A=A, B=B, K1=K1, K2=K2, K_lugua=K_lugua, K_ultimo=K_ultimo)
 
     @property
     def K_hausdorff(self) -> float:
@@ -256,14 +258,8 @@ def reports_to_csv(reports) -> str:
 # measurement helpers
 # ---------------------------------------------------------------------------
 
-def _closed_interval_function(values: np.ndarray, period: float) -> norms.SampledFunction:
-    grid = np.concatenate([np.arange(values.size) * (period / values.size), [period]])
-    vals = np.concatenate([values, [values[0]]])
-    return norms.SampledFunction(grid, vals)
-
-
 def _interval_seminorm(values: np.ndarray, period: float, alpha: float) -> float:
-    return norms.holder_seminorm(_closed_interval_function(values, period), alpha)
+    return norms.holder_seminorm(norms.closed_interval(values, period), alpha)
 
 
 def _c1_gap(f1: ConformalMap, f2: ConformalMap, n: int) -> float:
@@ -374,62 +370,41 @@ def _class_constants(samples, alpha: float, notes: list[str], m, M0, M1=None,
 # the checks
 # ---------------------------------------------------------------------------
 
-def seminorm_bounds(psi1: np.ndarray, psi2: np.ndarray, h: np.ndarray,
-                    alpha: float, bundle: ConstantsBundle, n: int,
-                    alignment: str = "proof", theorem: str = "stab_gen",
-                    phi_seminorms: tuple[float, float] | None = None
-                    ) -> list[StabilityReport]:
-    """Rows for the two circle-data seminorm estimates.
-
-    * each pushed datum: [psi_j]_a <= [phi_j]_a / (2 pi m)^a  (falls back to
-      the class bound M0 when the arclength seminorms are not supplied);
-    * the log ratio: [h]_a <= C1 sup|psi1-psi2| + C2 [psi1-psi2]_a.
-    """
-    psi1 = np.asarray(psi1, dtype=float)
-    psi2 = np.asarray(psi2, dtype=float)
-    if np.min(psi1) <= 0 or np.min(psi2) <= 0:
-        raise InvalidInputError("circle data must be strictly positive")
-    common = dict(n=n, alignment=alignment, m=bundle.m, M0=bundle.M0,
-                  M1=bundle.M1, L1=bundle.L1, L2=bundle.L2, alpha=alpha)
-    rows = []
-    for j, psi in enumerate((psi1, psi2), start=1):
-        lhs = _interval_seminorm(psi, TWO_PI, alpha)
-        rhs = bundle.M0 if phi_seminorms is None else phi_seminorms[j - 1]
-        rows.append(StabilityReport(
-            theorem=theorem, row=f"pushforward_seminorm_{j}", lhs=lhs,
-            rhs_norm=rhs, K=(TWO_PI * bundle.m) ** (-alpha), **common))
-    dpsi = psi1 - psi2
-    lhs_h = _interval_seminorm(np.asarray(h, dtype=float), TWO_PI, alpha)
-    rhs_h = (bundle.C1 * trig_sup_abs(dpsi)
-             + bundle.C2 * _interval_seminorm(dpsi, TWO_PI, alpha))
-    rows.append(StabilityReport(theorem=theorem, row="log_ratio_seminorm",
-                                lhs=lhs_h, rhs_norm=rhs_h, K=1.0, **common))
-    return rows
-
-
 def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, alpha: float,
                            alignment: str = "proof", m: float | None = None,
                            M0: float | None = None) -> list[StabilityReport]:
     """C1-norm gap of two maps against the Holder norm of the gap of their
-    circle data, after rotation about the common interior base point."""
+    circle data, after rotation about the common interior base point.
+
+    The rows before ``map_gap`` check the circle-data seminorm estimates it
+    rests on:
+
+    * each pushed datum: [psi_j]_a <= [phi_j]_a / (2 pi m)^a;
+    * the log ratio: [h]_a <= C1 sup|psi1-psi2| + C2 [psi1-psi2]_a.
+    """
     n = _same_n(d1, d2)
     notes: list[str] = []
     m, M0, _ = _class_constants((d1, d2), alpha, notes, m, M0)
     bundle = ConstantsBundle.assemble(alpha, m, M0, L1=d1.datum.L, L2=d2.datum.L)
 
     (psi1, _), (psi2, _) = d1.circle, d2.circle
-    h = np.log(psi1) - np.log(psi2)
-    rows = seminorm_bounds(psi1, psi2, h, alpha, bundle, n=n, alignment=alignment,
-                           phi_seminorms=(d1.seminorm(alpha), d2.seminorm(alpha)))
-
-    _, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
     dpsi = psi1 - psi2
-    rhs = trig_sup_abs(dpsi) + _interval_seminorm(dpsi, TWO_PI, alpha)
+    sup_dpsi = trig_sup_abs(dpsi)
+    seminorm_dpsi = _interval_seminorm(dpsi, TWO_PI, alpha)
+    _, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
+    common = dict(theorem="stab_gen", n=n, alignment=alignment, m=bundle.m,
+                  M0=bundle.M0, M1=None, L1=bundle.L1, L2=bundle.L2, alpha=alpha)
+    rows = [StabilityReport(
+        row=f"pushforward_seminorm_{j}", lhs=_interval_seminorm(psi, TWO_PI, alpha),
+        rhs_norm=d.seminorm(alpha), K=(TWO_PI * bundle.m) ** (-alpha), **common)
+        for j, (psi, d) in enumerate(((psi1, d1), (psi2, d2)), start=1)]
     rows.append(StabilityReport(
-        theorem="stab_gen", row="map_gap", lhs=_c1_gap(d1.f, f2r, n),
-        rhs_norm=rhs, K=bundle.K_stab, n=n, alignment=alignment, m=bundle.m,
-        M0=bundle.M0, M1=None, L1=bundle.L1, L2=bundle.L2, alpha=alpha,
-        notes="; ".join(notes)))
+        row="log_ratio_seminorm",
+        lhs=_interval_seminorm(np.log(psi1) - np.log(psi2), TWO_PI, alpha),
+        rhs_norm=bundle.C1 * sup_dpsi + bundle.C2 * seminorm_dpsi, K=1.0, **common))
+    rows.append(StabilityReport(
+        row="map_gap", lhs=_c1_gap(d1.f, f2r, n), rhs_norm=sup_dpsi + seminorm_dpsi,
+        K=bundle.K_stab, notes="; ".join(notes), **common))
     return rows
 
 
@@ -445,8 +420,8 @@ def _constant_gap_row(theorem: str, row: str, lhs: float, d: DomainSample,
         m, M0 = min(m, C), max(M0, C)
     phi = d.datum
     bundle = ConstantsBundle.assemble(alpha, m, M0, L1=phi.L, L2=1.0 / C)
-    gap = phi.values - C
-    rhs = trig_sup_abs(gap) + _interval_seminorm(gap, phi.L, alpha)
+    # subtracting a constant leaves the seminorm as it is
+    rhs = trig_sup_abs(phi.values - C) + d.seminorm(alpha)
     # raggi's inequality carries disco's constant
     return StabilityReport(
         theorem=theorem, row=row, lhs=lhs, rhs_norm=rhs, K=bundle.K_disco,
@@ -530,13 +505,11 @@ def check_theorem_lugua_hausdorff(d1: DomainSample, d2: DomainSample, alpha: flo
 
     sup_dphi = trig_sup_abs(phi1.values - phi2.values)
     sup_dphi_prime = trig_sup_abs(phi1.derivative() - phi2.derivative())
-    A = M1 * (L / m) ** alpha + (2.0 * M1) ** (1.0 - alpha)
-    B = (M1 / m) * (L / m) ** alpha + (M1 / m ** 2) * A
     return _chain(d1, d2, alpha, alignment, bundle, notes, (1.0, 1.0), [
         ("lugua", "arclength_gap", sup_dphi, L / m),
-        ("lugua", "pushforward_sup_gap", sup_dphi ** alpha, A),
+        ("lugua", "pushforward_sup_gap", sup_dphi ** alpha, bundle.A),
         ("lugua", "pushforward_derivative_gap",
-         B * sup_dphi ** alpha + sup_dphi_prime / m, 1.0),
+         bundle.B * sup_dphi ** alpha + sup_dphi_prime / m, 1.0),
         ("lugua", "map_gap", sup_dphi ** alpha + sup_dphi_prime, bundle.K_lugua),
         ("hausdorff", "hausdorff", (sup_dphi + sup_dphi_prime) ** alpha,
          bundle.K_hausdorff)])

@@ -239,6 +239,24 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "GREENRECON_JOBS" in err and "'two'" in err
 
+    def test_zero_env_jobs_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        argv = ["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.1:0.1",
+                "--theorem", "raggi", "--n", "128", "--out", str(tmp_path / "x")]
+        monkeypatch.setenv("GREENRECON_JOBS", "0")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "GREENRECON_JOBS" in err and "'0'" in err and "--jobs" not in err
+        monkeypatch.delenv("GREENRECON_JOBS")
+        assert main(argv + ["--jobs", "0"]) == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+    def test_zero_alpha_flag_is_rejected(self, tmp_path, capsys):
+        # a zero flag is a given value, not an absent one that takes the default
+        assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.1:0.1",
+                     "--theorem", "raggi", "--n", "128", "--alpha", "0",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "alpha must lie in (0, 1], got 0.0" in capsys.readouterr().err
+
     def test_bad_eps_range(self, tmp_path):
         assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1-0.2",
                      "--theorem", "disco", "--n", "128",

@@ -39,6 +39,13 @@ class TestConformalMap:
         assert np.allclose(eval_fprime(g, 64).modulus,
                            eval_fprime(f, 64).modulus, atol=1e-13)
 
+    def test_canonical_is_idempotent(self):
+        f = perturbed_disk(0.1)
+        for gamma in np.linspace(0.1, TWO_PI, 60):
+            g = f.rotated(gamma).canonical()
+            assert g.coefficients[1].imag == 0 and g.coefficients[1].real > 0
+            assert g.canonical() is g
+
     def test_validate_clean_map(self):
         assert perturbed_disk(0.2).validate(256) == []
 

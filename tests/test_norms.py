@@ -3,24 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenrecon.boundary import BoundaryFunction
 from greenrecon.conformal import forward_operator
 from greenrecon.errors import InvalidInputError
 from greenrecon.families import perturbed_disk
-from greenrecon.norms import (SampledFunction, composition_seminorm_bound,
-                              holder_norm, holder_seminorm, sup_norm)
+from greenrecon.norms import (SampledFunction, closed_interval, holder_norm,
+                              holder_seminorm, sup_norm)
 
 
-def brute_force_seminorm(grid, values, alpha, period=None):
+def brute_force_seminorm(grid, values, alpha):
     """Independent O(N^2) oracle: plain double loop over every pair."""
     best = 0.0
     n = len(grid)
     for i in range(n):
         for j in range(i + 1, n):
             d = abs(grid[i] - grid[j])
-            if period is not None:
-                d = min(d, period - d)
-            if d > 0:
-                best = max(best, abs(values[i] - values[j]) / d ** alpha)
+            best = max(best, abs(values[i] - values[j]) / d ** alpha)
     return best
 
 
@@ -28,8 +26,6 @@ def pair_scan_seminorm(f, alpha):
     """Oracle: every sample pair at once, with the float operations that
     holder_seminorm applies to each pair, so the two agree to the bit."""
     d = np.abs(f.grid[:, None] - f.grid[None, :])
-    if f.periodic:
-        d = np.minimum(d, f.period - d)
     num = np.abs(f.values[:, None] - f.values[None, :])
     quot = np.zeros_like(d)
     np.divide(num, d ** alpha, out=quot, where=d > 0)
@@ -38,8 +34,8 @@ def pair_scan_seminorm(f, alpha):
 
 @st.composite
 def sampled_functions(draw):
-    """Uniform, non-uniform and closed-interval grids, periodic or not, with
-    noisy, smooth or constant values."""
+    """Uniform, non-uniform and closed-interval grids with noisy, smooth or
+    constant values."""
     n = draw(st.integers(2, 96))
     period = draw(st.floats(1e-3, 1e3))
     spacing = draw(st.sampled_from(["uniform", "non-uniform", "closed"]))
@@ -60,8 +56,6 @@ def sampled_functions(draw):
         values = np.full(n, draw(st.floats(-1e3, 1e3)))
     if spacing == "closed":  # [0, period] with the endpoint repeating the start
         return SampledFunction(np.append(grid, period), np.append(values, values[0]))
-    if draw(st.booleans()):
-        return SampledFunction(grid, values, periodic=True, period=period)
     return SampledFunction(grid, values)
 
 
@@ -72,17 +66,16 @@ class TestLagScanEqualsPairScan:
         assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(n=st.integers(2, 64), value=st.floats(-1e6, 1e6), periodic=st.booleans(),
+    @given(n=st.integers(2, 64), value=st.floats(-1e6, 1e6),
            alpha=st.floats(0.0, 1.0, exclude_min=True))
-    def test_constant_data_is_zero(self, n, value, periodic, alpha):
-        f = SampledFunction.uniform(np.full(n, value), 2.0, periodic=periodic)
+    def test_constant_data_is_zero(self, n, value, alpha):
+        f = closed_interval(np.full(n, value), 2.0)
         assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_forward_datum(self, alpha):
         phi = forward_operator(perturbed_disk(0.2), 1024)
-        for f in (phi.as_interval_function(),
-                  SampledFunction.uniform(phi.values, phi.L)):
+        for f in (phi.as_interval_function(), SampledFunction(phi.grid, phi.values)):
             assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha)
 
     def test_later_lag_closer_than_extrapolated(self):
@@ -114,6 +107,20 @@ class TestLagScanEqualsPairScan:
         assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha)
 
 
+class TestClosedInterval:
+    @pytest.mark.parametrize("n, period", [(96, np.pi), (96, 7.3), (100, np.pi)])
+    def test_right_endpoint_is_the_period(self, n, period):
+        # arange(n + 1) * (period / n) misses the period by an ulp for the
+        # last two cases
+        values = np.cos(np.arange(n))
+        f = closed_interval(values, period)
+        assert f.grid[-1] == period and f.values[-1] == values[0]
+        assert np.array_equal(f.grid[:-1], np.arange(n) * (period / n))
+        assert np.array_equal(f.values[:-1], values)
+        phi = BoundaryFunction(values, period).as_interval_function()
+        assert np.array_equal(phi.grid, f.grid) and np.array_equal(phi.values, f.values)
+
+
 class TestSupNorm:
     def test_constant(self):
         f = SampledFunction(np.linspace(0, 1, 17), np.full(17, 3.5))
@@ -125,11 +132,10 @@ class TestSupNorm:
 
     def test_sine_converges_to_one(self):
         grid = np.arange(1024) * (2 * np.pi / 1024)
-        f = SampledFunction(grid, np.sin(grid), periodic=True, period=2 * np.pi)
+        f = SampledFunction(grid, np.sin(grid))
         assert abs(sup_norm(f) - 1.0) <= 1e-4
         # refinement never decreases the measured sup
-        coarse = SampledFunction(grid[::4], np.sin(grid[::4]),
-                                 periodic=True, period=2 * np.pi)
+        coarse = SampledFunction(grid[::4], np.sin(grid[::4]))
         assert sup_norm(coarse) <= sup_norm(f)
 
     def test_rejects_too_small_grid(self):
@@ -164,14 +170,6 @@ class TestHolderSeminorm:
             assert holder_seminorm(f, alpha) == pytest.approx(
                 brute_force_seminorm(grid, values, alpha), rel=1e-13)
 
-    def test_periodic_distance_matches_oracle(self):
-        rng = np.random.default_rng(8)
-        grid = np.arange(32) * (5.0 / 32)
-        values = rng.normal(size=32)
-        f = SampledFunction(grid, values, periodic=True, period=5.0)
-        assert holder_seminorm(f, 0.5) == pytest.approx(
-            brute_force_seminorm(grid, values, 0.5, period=5.0), rel=1e-13)
-
     def test_alpha_out_of_range(self):
         f = SampledFunction([0.0, 1.0], [0.0, 1.0])
         for alpha in (0.0, -0.5, 1.5):
@@ -189,15 +187,9 @@ class TestHolderNorm:
         f = SampledFunction(grid, grid.copy())
         assert holder_norm(f, 0, 1.0) == pytest.approx(2.0, abs=1e-12)
 
-    def test_cosine_k1_alpha0_spectral(self):
-        grid = np.arange(256) * (2 * np.pi / 256)
-        f = SampledFunction(grid, np.cos(grid), periodic=True, period=2 * np.pi)
-        # spectral derivative of the samples reproduces -sin exactly
-        assert holder_norm(f, 1, 0.0) == pytest.approx(2.0, abs=1e-10)
-
     def test_supplied_derivative_takes_precedence(self):
         grid = np.arange(64) * (2 * np.pi / 64)
-        f = SampledFunction(grid, np.cos(grid), periodic=True, period=2 * np.pi)
+        f = SampledFunction(grid, np.cos(grid))
         value = holder_norm(f, 1, 0.0, derivative_values=-np.sin(grid))
         assert value == pytest.approx(2.0, abs=1e-12)
 
@@ -210,29 +202,6 @@ class TestHolderNorm:
         f = SampledFunction([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(InvalidInputError):
             holder_norm(f, 2, 0.5)
-
-
-class TestCompositionBound:
-    def test_zero_seminorm(self):
-        assert composition_seminorm_bound(0.0, 123.0, 0.5) == 0.0
-
-    def test_lipschitz_one(self):
-        assert composition_seminorm_bound(2.0, 1.0, 0.5) == 2.0
-
-    def test_bound_dominates_measured_composition(self):
-        # xi(eta(x)) pair-by-pair: the quotient factors through eta's image,
-        # so measuring xi on the image points makes the bound exact-grid-true.
-        rng = np.random.default_rng(11)
-        x = np.sort(rng.uniform(0, 2 * np.pi, 80))
-        eta = x + 0.3 * np.sin(x)  # increasing, Lipschitz
-        xi_of = np.cos(2 * eta)
-        alpha = 0.5
-        comp = SampledFunction(x, xi_of)
-        xi_on_image = SampledFunction(eta, np.cos(2 * eta))
-        eta_f = SampledFunction(x, eta)
-        bound = composition_seminorm_bound(
-            holder_seminorm(xi_on_image, alpha), holder_seminorm(eta_f, 1.0), alpha)
-        assert holder_seminorm(comp, alpha) <= bound * (1 + 1e-12)
 
 
 class TestInvariants:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from greenrecon import boundary, stability
+from greenrecon import boundary, norms, stability
 from greenrecon._spectral import invert_increasing
 from greenrecon.conformal import forward_operator
 from greenrecon.errors import AliasingError, InvalidInputError
@@ -15,8 +15,7 @@ from greenrecon.stability import (ConstantsBundle, DomainSample, StabilityReport
                                   c_alpha, check_theorem_disco,
                                   check_theorem_lugua_hausdorff,
                                   check_theorem_raggi, check_theorem_stab_gen,
-                                  check_theorem_ultimo, reports_to_csv,
-                                  seminorm_bounds, CSV_HEADER)
+                                  check_theorem_ultimo, reports_to_csv, CSV_HEADER)
 from greenrecon.geometry import boundary_of, hausdorff_distance
 from greenrecon.norms import holder_seminorm
 
@@ -84,6 +83,8 @@ class TestConstantsBundle:
             b.K_stab * (1 + (TWO_PI * m) ** (-alpha)), rel=1e-14)
         A = M1 * (L / m) ** alpha + (2 * M1) ** (1 - alpha)
         B = (M1 / m) * (L / m) ** alpha + (M1 / m ** 2) * A
+        assert b.A == pytest.approx(A, rel=1e-14)
+        assert b.B == pytest.approx(B, rel=1e-14)
         assert b.K_lugua == pytest.approx(
             b.K_stab * max(A + TWO_PI ** (-alpha) * B, TWO_PI ** (-alpha) / m),
             rel=1e-14)
@@ -145,41 +146,11 @@ class TestReportMechanics:
         assert fields[12] == ""  # absent M1 stays empty
 
 
-class TestSeminormBounds:
-    def test_equal_data_trivial(self):
-        psi = np.full(64, 0.2)
-        bundle = ConstantsBundle.assemble(0.5, 0.15, 0.4)
-        rows = seminorm_bounds(psi, psi, np.zeros(64), 0.5, bundle, n=64)
-        assert all(r.passed for r in rows)
-        assert rows[-1].lhs == 0.0
-
-    def test_cosine_pair(self):
-        theta = np.arange(256) * (TWO_PI / 256)
-        psi1 = 0.2 + 0.02 * np.cos(theta)
-        psi2 = 0.2 - 0.01 * np.cos(2 * theta)
-        m = float(min(psi1.min(), psi2.min()))
-        bundle = ConstantsBundle.assemble(0.5, m, 0.4)
-        h = np.log(psi1) - np.log(psi2)
-        rows = seminorm_bounds(psi1, psi2, h, 0.5, bundle, n=256)
-        assert [r.row for r in rows] == ["pushforward_seminorm_1",
-                                         "pushforward_seminorm_2",
-                                         "log_ratio_seminorm"]
-        assert all(r.passed for r in rows)
-
-    def test_nonpositive_rejected(self):
-        psi = np.full(64, 0.2)
-        bad = psi.copy()
-        bad[3] = -0.1
-        bundle = ConstantsBundle.assemble(0.5, 0.1, 0.4)
-        with pytest.raises(InvalidInputError):
-            seminorm_bounds(psi, bad, psi, 0.5, bundle, n=64)
-
-
 class TestDomainSample:
     def test_map_stored_in_canonical_frame(self):
         d = DomainSample(perturbed_disk(0.1).rotated(2.0), 128)
         a1 = complex(d.f.coefficients[1])
-        assert a1.real > 0 and abs(a1.imag) <= 1e-15
+        assert a1.real > 0 and a1.imag == 0
 
     def test_values_match_direct_computation(self):
         f = perturbed_disk(0.15)
@@ -206,6 +177,29 @@ class TestDomainSample:
         check_theorem_stab_gen(d, d0, 0.5)
         check_theorem_ultimo(d, d0, 0.5)
         assert sorted(calls.values()) == [1, 1]
+
+    def test_each_check_measures_each_seminorm_once(self, monkeypatch):
+        # [phi - C]_a is the sample's [phi]_a; stab_gen measures [psi_1]_a,
+        # [psi_2]_a, [h]_a and [dpsi]_a once each, ultimo [dpsi]_a
+        d, d0 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 128)
+        d.fill(0.5)
+        d0.fill(0.5)
+        calls = []
+
+        def counting(f, alpha):
+            calls.append(alpha)
+            return holder_seminorm(f, alpha)
+
+        monkeypatch.setattr(norms, "holder_seminorm", counting)
+        counts = []
+        for check in (lambda: check_theorem_raggi(d, 0.5),
+                      lambda: check_theorem_disco(d, 1 / TWO_PI, 0.5),
+                      lambda: check_theorem_stab_gen(d, d0, 0.5),
+                      lambda: check_theorem_ultimo(d, d0, 0.5)):
+            calls.clear()
+            check()
+            counts.append(len(calls))
+        assert counts == [0, 0, 4, 1]
 
     def test_under_resolved_grid_rejected_at_construction(self):
         with pytest.raises(AliasingError, match="grid size 64"):
@@ -256,8 +250,9 @@ class TestStabGen:
     def test_identical_maps(self):
         d = DomainSample(perturbed_disk(0.1), 128)
         rows = check_theorem_stab_gen(d, d, 0.5)
+        assert [r.row for r in rows] == ["pushforward_seminorm_1", "pushforward_seminorm_2",
+                                         "log_ratio_seminorm", "map_gap"]
         main = rows[-1]
-        assert main.row == "map_gap"
         assert main.lhs == 0.0
         assert all(r.passed for r in rows)
 
