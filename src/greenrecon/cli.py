@@ -148,6 +148,10 @@ def _apply_config(args: argparse.Namespace) -> None:
             line_no = _find_config_line(path, args.command, key)
             raise InvalidInputError(
                 f"{path}:{line_no}: bad value {value!r} for {key!r}") from None
+        if attr == "jobs" and parsed < 1:
+            line_no = _find_config_line(path, args.command, key)
+            raise InvalidInputError(
+                f"{path}:{line_no}: {key} must be at least 1, got {value!r}")
         setattr(args, attr, parsed)
 
 

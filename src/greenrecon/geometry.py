@@ -4,6 +4,7 @@ rotation alignment of two maps about their common interior base point."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -20,6 +21,10 @@ TWO_PI = 2.0 * np.pi
 # squared distances that underflow
 _KD_RTOL = 1e-12
 _KD_ATOL = 2.0 ** -500
+# how far above the least squared point-to-edge distance an edge may still
+# hold the least hypot: relative, and absolute for squares that underflow
+_SQ_RTOL = 1e-12
+_SQ_ATOL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -242,17 +247,61 @@ def smallest_enclosing_circle(points: np.ndarray) -> tuple[complex, float]:
     return circle
 
 
-def _distance_to_polyline(point: complex, points: np.ndarray) -> float:
-    p = np.asarray([point.real, point.imag])
-    a = np.column_stack([points.real, points.imag])
-    b = np.roll(a, -1, axis=0)
-    ab = b - a
-    ap = p[None, :] - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.clip(np.einsum("ij,ij->i", ap, ab) / np.maximum(denom, 1e-300), 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    d = np.hypot(p[0] - proj[:, 0], p[1] - proj[:, 1])
-    return float(np.min(d))
+class _NegDepth:
+    """Objective of `largest_inscribed_circle`: minus the distance from a point
+    to the polyline when the point is inside the domain, 0.0 when it is not.
+
+    The edges are laid out once: their starts ``ax, ay``, their vectors
+    ``abx, aby`` and ``den = max(|ab|^2, 1e-300)``, with four n-sized
+    buffers that every evaluation reuses.  The deepest inside point evaluated
+    so far, ``(x, y, depth)``, lets later points skip the turning test.
+    """
+
+    def __init__(self, b: DomainBoundary):
+        pts = b.points
+        end = np.roll(pts, -1)
+        self.points = pts
+        self.ax, self.ay = pts.real.copy(), pts.imag.copy()
+        self.abx, self.aby = end.real - self.ax, end.imag - self.ay
+        self.den = np.maximum(self.abx * self.abx + self.aby * self.aby, 1e-300)
+        self._t, self._dx, self._dy, self._sq = np.empty((4, pts.size))
+        self.deepest = (0.0, 0.0, 0.0)
+
+    def distance(self, x: float, y: float) -> float:
+        """Distance from (x, y) to the polyline: the least ``np.hypot`` from
+        the point to its clamped projection on each edge, to the bit."""
+        t, dx, dy, sq = self._t, self._dx, self._dy, self._sq
+        np.subtract(x, self.ax, out=t)
+        t *= self.abx
+        np.subtract(y, self.ay, out=dy)
+        dy *= self.aby
+        t += dy
+        t /= self.den
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
+        for d, a, ab, p in ((dx, self.ax, self.abx, x), (dy, self.ay, self.aby, y)):
+            np.multiply(t, ab, out=d)
+            d += a
+            np.subtract(p, d, out=d)
+        np.multiply(dx, dx, out=t)
+        np.multiply(dy, dy, out=sq)
+        sq += t
+        near = (sq <= sq.min() * (1.0 + _SQ_RTOL) + _SQ_ATOL).nonzero()[0]
+        return float(np.hypot(dx[near], dy[near]).min())
+
+    def __call__(self, xy) -> float:
+        x, y = float(xy[0]), float(xy[1])
+        cx, cy, depth = self.deepest
+        if not math.hypot(x - cx, y - cy) < 0.5 * depth:
+            try:
+                if abs(_total_turning(self.points, complex(x, y)) / TWO_PI - 1.0) > 1e-6:
+                    return 0.0  # outside
+            except InvalidInputError:
+                return 0.0
+        d = self.distance(x, y)
+        if d > depth:
+            self.deepest = (x, y, d)
+        return -d
 
 
 def largest_inscribed_circle(b: DomainBoundary) -> tuple[complex, float]:
@@ -261,18 +310,26 @@ def largest_inscribed_circle(b: DomainBoundary) -> tuple[complex, float]:
     Coarse search over a polar grid around the base point followed by a
     Nelder-Mead polish of the distance-to-boundary function; adequate for the
     star-shaped domains this package produces.
+
+    Two shortcuts make each evaluation cheap and leave every value as the
+    turning test and the full projection-and-hypot scan give it:
+
+    * The turning test runs only for points at least half the depth d away
+      from the deepest inside point evaluated so far.  A point nearer than
+      that is inside: the segment joining the two stays more than d/2 from
+      the polyline, so the winding number cannot change along it.  At that
+      distance every edge subtends an angle bounded away from pi, so the
+      turning sum's rounding stays far below the test's 1e-6 tolerance and
+      the test would also have said inside.
+    * The distance takes ``np.hypot`` only on the edges whose squared
+      distance is within a relative ``_SQ_RTOL``, or an absolute
+      ``_SQ_ATOL``, of the least.  Squares and hypots come from the same
+      rounded residuals; a square errs by a few ulps (and by a few subnormal
+      units once it underflows, which the absolute part covers), a hypot by
+      one ulp.  An edge whose hypot is least therefore has a square within
+      that allowance of the least square, and is always among the candidates.
     """
-    pts = b.points
-
-    def neg_depth(xy):
-        c = complex(xy[0], xy[1])
-        try:
-            if abs(_total_turning(pts, c) / TWO_PI - 1.0) > 1e-6:
-                return 0.0  # outside
-        except InvalidInputError:
-            return 0.0
-        return -_distance_to_polyline(c, pts)
-
+    neg_depth = _NegDepth(b)
     rho0, _ = inradius_circumradius(b)
     best_xy = np.array([b.zeta_o.real, b.zeta_o.imag])
     best = neg_depth(best_xy)

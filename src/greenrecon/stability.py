@@ -393,7 +393,8 @@ def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, alpha: float,
     seminorm_dpsi = _interval_seminorm(dpsi, TWO_PI, alpha)
     _, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
     common = dict(theorem="stab_gen", n=n, alignment=alignment, m=bundle.m,
-                  M0=bundle.M0, M1=None, L1=bundle.L1, L2=bundle.L2, alpha=alpha)
+                  M0=bundle.M0, M1=None, L1=bundle.L1, L2=bundle.L2, alpha=alpha,
+                  notes="; ".join(notes))
     rows = [StabilityReport(
         row=f"pushforward_seminorm_{j}", lhs=_interval_seminorm(psi, TWO_PI, alpha),
         rhs_norm=d.seminorm(alpha), K=(TWO_PI * bundle.m) ** (-alpha), **common)
@@ -404,7 +405,7 @@ def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, alpha: float,
         rhs_norm=bundle.C1 * sup_dpsi + bundle.C2 * seminorm_dpsi, K=1.0, **common))
     rows.append(StabilityReport(
         row="map_gap", lhs=_c1_gap(d1.f, f2r, n), rhs_norm=sup_dpsi + seminorm_dpsi,
-        K=bundle.K_stab, notes="; ".join(notes), **common))
+        K=bundle.K_stab, **common))
     return rows
 
 

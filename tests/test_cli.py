@@ -250,6 +250,15 @@ class TestSweep:
         assert main(argv + ["--jobs", "0"]) == 1
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
+    def test_zero_config_jobs_names_the_file_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg0.ini"
+        cfg.write_text("[sweep]\njobs = 0\n")
+        assert main(["sweep", "--config", str(cfg), "--family", "z+eps*z^2",
+                     "--eps", "0.1:0.1:0.1", "--theorem", "raggi", "--n", "128",
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: jobs must be at least 1, got '0'" in err and "--jobs" not in err
+
     def test_zero_alpha_flag_is_rejected(self, tmp_path, capsys):
         # a zero flag is a given value, not an absent one that takes the default
         assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.1:0.1",

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+from greenrecon import geometry
 from greenrecon.conformal import ConformalMap
 from greenrecon.errors import InvalidInputError
 from greenrecon.families import disk, disk_for_constant, fourier_disk, perturbed_disk
-from greenrecon.geometry import (DomainBoundary, align_rotation, boundary_of,
-                                 hausdorff_discretization_bound,
+from greenrecon.geometry import (DomainBoundary, _total_turning, align_rotation,
+                                 boundary_of, hausdorff_discretization_bound,
                                  hausdorff_distance, inradius_circumradius,
                                  largest_inscribed_circle, save_polyline,
                                  smallest_enclosing_circle)
@@ -15,8 +17,8 @@ from greenrecon.geometry import (DomainBoundary, align_rotation, boundary_of,
 TWO_PI = 2 * np.pi
 
 
-def circle_boundary(radius=1.0, center=0j, n=256):
-    theta = np.arange(n) * (TWO_PI / n)
+def circle_boundary(radius=1.0, center=0j, n=256, phase=0.0):
+    theta = phase + np.arange(n) * (TWO_PI / n)
     return DomainBoundary(points=center + radius * np.exp(1j * theta),
                           zeta_o=center, arclengths=radius * theta, thetas=theta)
 
@@ -31,6 +33,52 @@ def pair_scan_hausdorff(b1, b2):
             worst = max(worst, float(np.max(np.min(block, axis=1))))
         return worst
     return max(directed(b1.points, b2.points), directed(b2.points, b1.points))
+
+
+def scan_polyline_distance(point, points):
+    """Oracle: distance to the polyline by projecting onto every edge and
+    taking ``np.hypot`` of every residual, as largest_inscribed_circle did
+    before its segment table."""
+    p = np.asarray([point.real, point.imag])
+    a = np.column_stack([points.real, points.imag])
+    b = np.roll(a, -1, axis=0)
+    ab = b - a
+    ap = p[None, :] - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    t = np.clip(np.einsum("ij,ij->i", ap, ab) / np.maximum(denom, 1e-300), 0.0, 1.0)
+    proj = a + t[:, None] * ab
+    d = np.hypot(p[0] - proj[:, 0], p[1] - proj[:, 1])
+    return float(np.min(d))
+
+
+def scan_inscribed_circle(b):
+    """Oracle: largest_inscribed_circle with the turning test at every
+    evaluation and the full scan for the distance."""
+    pts = b.points
+
+    def neg_depth(xy):
+        c = complex(xy[0], xy[1])
+        try:
+            if abs(_total_turning(pts, c) / TWO_PI - 1.0) > 1e-6:
+                return 0.0  # outside
+        except InvalidInputError:
+            return 0.0
+        return -scan_polyline_distance(c, pts)
+
+    rho0, _ = inradius_circumradius(b)
+    best_xy = np.array([b.zeta_o.real, b.zeta_o.imag])
+    best = neg_depth(best_xy)
+    for radius in (0.2 * rho0, 0.45 * rho0, 0.7 * rho0):
+        for angle in np.arange(8) * (TWO_PI / 8):
+            xy = np.array([b.zeta_o.real + radius * np.cos(angle),
+                           b.zeta_o.imag + radius * np.sin(angle)])
+            val = neg_depth(xy)
+            if val < best:
+                best, best_xy = val, xy
+    result = minimize(neg_depth, best_xy, method="Nelder-Mead",
+                      options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
+    center = complex(result.x[0], result.x[1])
+    return center, float(-result.fun)
 
 
 def polyline(points, zeta_o=0j):
@@ -283,6 +331,110 @@ class TestFreeCenterDisks:
         center, big_r = smallest_enclosing_circle(b.points)
         assert abs(center - (0.2 + 0.1j)) <= 1e-7
         assert big_r == pytest.approx(0.5, abs=1e-8)
+
+
+@st.composite
+def star_domains(draw):
+    """A rotated, offset star polyline about its base point: a smooth radius
+    of a few random modes, plus vertex noise of random size."""
+    n = draw(st.integers(64, 1024))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, 3e5]))
+    center = draw(st.complex_numbers(max_magnitude=3.0))
+    phase = draw(st.floats(0.0, TWO_PI))
+    noise = draw(st.sampled_from([0.0, 1e-3, 0.2]))
+    theta = TWO_PI * np.arange(n) / n
+    k = np.arange(2, 6)[:, None]
+    modes = rng.uniform(-0.06, 0.06, (2, 4, 1))
+    radius = (1.0 + np.sum(modes[0] * np.cos(k * theta) + modes[1] * np.sin(k * theta), axis=0)
+              + noise * rng.uniform(-1.0, 1.0, n))
+    return polyline(scale * (center + radius * np.exp(1j * (theta + phase))), scale * center)
+
+
+class TestInscribedCircleEqualsScan:
+    @settings(max_examples=16, derandomize=True, deadline=None)
+    @given(b=star_domains())
+    def test_random_star_domains(self, b):
+        assert largest_inscribed_circle(b) == scan_inscribed_circle(b)
+
+    @pytest.mark.parametrize("b", [
+        circle_boundary(n=4096),
+        circle_boundary(radius=3e5, center=1.2e5 - 3.3e5j, n=4096, phase=0.3),
+        boundary_of(perturbed_disk(0.2), 4096),
+    ], ids=["regular", "regular-offset", "perturbed-0.2"])
+    def test_n4096(self, b):
+        assert largest_inscribed_circle(b) == scan_inscribed_circle(b)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-158])
+    def test_distance_at_the_center_of_a_regular_polygon(self, scale):
+        # the least squared distance and the least hypot fall on different
+        # edges here: at scale 1 only the relative allowance keeps the right
+        # one, at 1e-158 (subnormal squares) only the absolute one
+        b = circle_boundary(radius=scale, n=256)
+        assert geometry._NegDepth(b).distance(0.0, 0.0) == scan_polyline_distance(0j, b.points)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n=st.sampled_from([8, 64, 256, 512]),
+           scale=st.sampled_from([1.0, 3e5, 1e-158]),
+           offset=st.complex_numbers(max_magnitude=1.0),
+           phase=st.floats(0.0, 1.0))
+    def test_distance_near_tied_edges(self, n, scale, offset, phase):
+        # within a few ulps of the center of a regular polygon every edge is
+        # about as near as the nearest; at 1e-158 the squares are subnormal
+        b = circle_boundary(radius=scale, n=n, phase=phase)
+        p = scale * 1e-16 * offset
+        assert (geometry._NegDepth(b).distance(p.real, p.imag)
+                == scan_polyline_distance(p, b.points))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(b=star_domains(), where=st.complex_numbers(max_magnitude=1.5))
+    def test_distance_anywhere(self, b, where):
+        p = b.zeta_o + abs(b.points[0] - b.zeta_o) * where
+        assert (geometry._NegDepth(b).distance(p.real, p.imag)
+                == scan_polyline_distance(p, b.points))
+
+
+def count_turning_tests(monkeypatch):
+    calls = []
+
+    def counted(points, center):
+        calls.append(center)
+        return _total_turning(points, center)
+
+    monkeypatch.setattr(geometry, "_total_turning", counted)
+    return calls
+
+
+class TestInsideShortcut:
+    def test_turning_test_runs_outside_half_the_deepest_depth(self, monkeypatch):
+        neg_depth = geometry._NegDepth(circle_boundary(n=256))
+        calls = count_turning_tests(monkeypatch)
+        depth = -neg_depth(np.array([0.0, 0.0]))
+        assert len(calls) == 1 and depth > 0.99
+        assert neg_depth(np.array([0.45 * depth, 0.0])) < 0  # certified
+        assert len(calls) == 1
+        shallow = -neg_depth(np.array([0.0, 0.55 * depth]))  # beyond half
+        assert len(calls) == 2 and shallow < depth
+        # certified by the deepest point, not by the last one evaluated
+        assert neg_depth(np.array([0.0, -0.45 * depth])) < 0
+        assert len(calls) == 2
+        assert neg_depth(np.array([2.0, 0.0])) == 0.0  # outside
+        assert len(calls) == 3
+
+    def test_turning_test_in_under_a_quarter_of_evaluations(self, monkeypatch):
+        b = boundary_of(perturbed_disk(0.2), 512)
+        evaluations = []
+        call = geometry._NegDepth.__call__
+
+        def counted(self, xy):
+            evaluations.append(xy)
+            return call(self, xy)
+
+        monkeypatch.setattr(geometry._NegDepth, "__call__", counted)
+        calls = count_turning_tests(monkeypatch)
+        largest_inscribed_circle(b)
+        assert len(evaluations) > 100
+        assert 4 * len(calls) < len(evaluations)
 
 
 class TestPolylineExport:

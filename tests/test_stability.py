@@ -295,6 +295,15 @@ class TestStabGen:
         assert rows[-1].m < 0.5  # measured fallback
         assert "violated" in rows[-1].notes
 
+    def test_fallback_note_on_every_row(self):
+        # the seminorm rows use the same fallback m as map_gap
+        rows = check_theorem_stab_gen(DomainSample(perturbed_disk(0.1), 128),
+                                      DomainSample(disk(), 128), 0.5, m=0.5)
+        assert [r.row for r in rows] == ["pushforward_seminorm_1", "pushforward_seminorm_2",
+                                         "log_ratio_seminorm", "map_gap"]
+        assert len({(r.m, r.notes) for r in rows}) == 1
+        assert rows[0].m < 0.5 and "m=0.5 violated by data" in rows[0].notes
+
 
 class TestDisco:
     def test_fixed_point(self):
