@@ -5,7 +5,7 @@ rotation alignment of two maps about their common interior base point."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -25,6 +25,12 @@ _KD_ATOL = 2.0 ** -500
 # hold the least hypot: relative, and absolute for squares that underflow
 _SQ_RTOL = 1e-12
 _SQ_ATOL = np.finfo(float).tiny
+# the free-center disks scale coordinates by a power of two so that the
+# largest magnitude lies in [2^(lo-1), 2^hi): below, their absolute
+# tolerances (Welzl's 1e-12 slack, Nelder-Mead's xatol and fatol, the 1e-300
+# floors) would swamp the domain; above, squares and the circumcircle's cubic
+# terms would overflow.  Coordinates already in range are left as they are.
+_COORD_RANGE = (-3, 256)
 
 
 @dataclass(frozen=True)
@@ -197,10 +203,27 @@ def _rotation_constant(f: ConformalMap) -> float:
     return float(np.angle(a1))
 
 
+def _coordinate_shift(points: np.ndarray) -> int:
+    """Exponent s such that points / 2^s have their largest coordinate
+    magnitude within `_COORD_RANGE`; 0 for points already within it."""
+    top = max(np.max(np.abs(points.real)), np.max(np.abs(points.imag)))
+    exponent = int(np.frexp(top)[1])
+    lo, hi = _COORD_RANGE
+    return min(max(0, exponent - hi), exponent - lo)
+
+
+def _ldexp(z, exponent: int):
+    """z * 2^exponent, coordinate by coordinate, for complex scalars and arrays."""
+    return np.ldexp(np.real(z), exponent) + 1j * np.ldexp(np.imag(z), exponent)
+
+
 def smallest_enclosing_circle(points: np.ndarray) -> tuple[complex, float]:
     """Smallest circle containing all points (Welzl's move-to-front method,
-    deterministic shuffle)."""
-    pts = [complex(p) for p in np.asarray(points, dtype=complex)]
+    deterministic shuffle).  Coordinates are scaled by a power of two into
+    `_COORD_RANGE` and the circle scaled back, both exact."""
+    points = np.asarray(points, dtype=complex)
+    shift = _coordinate_shift(points)
+    pts = [complex(p) for p in _ldexp(points, -shift)]
     rng = np.random.default_rng(20260808)
     order = rng.permutation(len(pts))
     shuffled = [pts[i] for i in order]
@@ -244,7 +267,8 @@ def smallest_enclosing_circle(points: np.ndarray) -> tuple[complex, float]:
                 candidate = circumcircle(p, q, r)
                 if candidate is not None:
                     circle = candidate
-    return circle
+    center, radius = circle
+    return complex(_ldexp(center, shift)), math.ldexp(radius, shift)
 
 
 class _NegDepth:
@@ -328,7 +352,15 @@ def largest_inscribed_circle(b: DomainBoundary) -> tuple[complex, float]:
       units once it underflows, which the absolute part covers), a hypot by
       one ulp.  An edge whose hypot is least therefore has a square within
       that allowance of the least square, and is always among the candidates.
+
+    Coordinates outside `_COORD_RANGE` are scaled by a power of two first, and
+    the disk scaled back; both are exact.
     """
+    shift = _coordinate_shift(b.points)
+    if shift:
+        center, radius = largest_inscribed_circle(replace(
+            b, points=_ldexp(b.points, -shift), zeta_o=complex(_ldexp(b.zeta_o, -shift))))
+        return complex(_ldexp(center, shift)), math.ldexp(radius, shift)
     neg_depth = _NegDepth(b)
     rho0, _ = inradius_circumradius(b)
     best_xy = np.array([b.zeta_o.real, b.zeta_o.imag])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -331,6 +333,34 @@ class TestFreeCenterDisks:
         center, big_r = smallest_enclosing_circle(b.points)
         assert abs(center - (0.2 + 0.1j)) <= 1e-7
         assert big_r == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("radius", [1e-170, 1e160])
+    def test_extreme_scales(self, radius):
+        # squared coordinates underflow below about 1e-154 and overflow above
+        # about 1e154, and Welzl's absolute 1e-12 slack swallows any domain
+        # narrower than that
+        b = circle_boundary(radius=radius, n=64)
+        _, big_r = inradius_circumradius(b)
+        center, r_free = smallest_enclosing_circle(b.points)
+        assert r_free == pytest.approx(big_r, rel=1e-12)
+        assert abs(center) <= 1e-12 * radius
+        center, rho_free = largest_inscribed_circle(b)
+        assert rho_free == pytest.approx(np.cos(np.pi / 64) * radius, rel=1e-12)
+        assert abs(center) <= 1e-12 * radius
+
+    @pytest.mark.parametrize("exponent, shift", [(-600, -596), (600, 345)])
+    def test_scaling_is_exact(self, exponent, shift):
+        # the disks of the circle of radius 2^e are those of the circle of
+        # radius 2^(e - shift), which needs no scaling, times 2^shift
+        b = circle_boundary(radius=2.0 ** exponent, n=64)
+        ref = circle_boundary(radius=2.0 ** (exponent - shift), n=64)
+        assert geometry._coordinate_shift(b.points) == shift
+        assert geometry._coordinate_shift(ref.points) == 0
+        for disk_of in (largest_inscribed_circle, lambda b: smallest_enclosing_circle(b.points)):
+            (center, radius), (center_ref, radius_ref) = disk_of(b), disk_of(ref)
+            assert radius == math.ldexp(radius_ref, shift)
+            assert center == complex(math.ldexp(center_ref.real, shift),
+                                     math.ldexp(center_ref.imag, shift))
 
 
 @st.composite

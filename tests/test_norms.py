@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenrecon import norms
 from greenrecon.boundary import BoundaryFunction
+from greenrecon.cli import main
 from greenrecon.conformal import forward_operator
 from greenrecon.errors import InvalidInputError
 from greenrecon.families import perturbed_disk
@@ -22,25 +26,38 @@ def brute_force_seminorm(grid, values, alpha):
     return best
 
 
-def pair_scan_seminorm(f, alpha):
-    """Oracle: every sample pair at once, with the float operations that
-    holder_seminorm applies to each pair, so the two agree to the bit."""
-    d = np.abs(f.grid[:, None] - f.grid[None, :])
-    num = np.abs(f.values[:, None] - f.values[None, :])
-    quot = np.zeros_like(d)
-    np.divide(num, d ** alpha, out=quot, where=d > 0)
-    return float(np.max(quot))
+def pair_scan_seminorm(f, alpha, rows=256):
+    """Oracle: every sample pair, ``rows`` rows of the n-by-n pair matrix at a
+    time, with the float operations that holder_seminorm applies to each
+    pair, so the two agree to the bit."""
+    best = 0.0
+    for lo in range(0, f.n, rows):
+        d = np.abs(f.grid[lo:lo + rows, None] - f.grid[None, :])
+        num = np.abs(f.values[lo:lo + rows, None] - f.values[None, :])
+        quot = np.zeros_like(d)
+        np.divide(num, d ** alpha, out=quot, where=d > 0)
+        best = max(best, float(np.max(quot)))
+    return best
+
+
+# points per block of the seminorm's block scan at the sizes drawn below
+B = norms._block_size(96)
+BLOCK_EDGE_SIZES = [2, B - 1, B, B + 1, 2 * B + 1]
+alphas = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
 
 
 @st.composite
 def sampled_functions(draw):
     """Uniform, non-uniform and closed-interval grids with noisy, smooth or
-    constant values."""
-    n = draw(st.integers(2, 96))
+    constant values.  Sizes include the block scan's edge cases, wild grids
+    change their spacing a million-fold inside a block, and values are
+    scaled to 1e+-150."""
+    n = draw(st.one_of(st.sampled_from(BLOCK_EDGE_SIZES), st.integers(2, 96)))
     period = draw(st.floats(1e-3, 1e3))
-    spacing = draw(st.sampled_from(["uniform", "non-uniform", "closed"]))
-    if spacing == "non-uniform":
-        gap = st.one_of(st.floats(1e-3, 1e-2), st.floats(0.5, 1.0))
+    spacing = draw(st.sampled_from(["uniform", "non-uniform", "wild", "closed"]))
+    if spacing in ("non-uniform", "wild"):
+        gap = (st.one_of(st.floats(1e-3, 1e-2), st.floats(0.5, 1.0)) if spacing == "non-uniform"
+               else st.one_of(st.floats(1e-6, 2e-6), st.floats(1.0, 2.0)))
         gaps = np.array(draw(st.lists(gap, min_size=n, max_size=n)))
         grid = np.concatenate([[0.0], np.cumsum(gaps[:-1])]) * (period / np.sum(gaps))
     else:
@@ -54,16 +71,84 @@ def sampled_functions(draw):
                      for k, c in enumerate(coeffs))
     else:
         values = np.full(n, draw(st.floats(-1e3, 1e3)))
+    values = values * draw(st.sampled_from([1.0, 1e150, 1e-150]))
     if spacing == "closed":  # [0, period] with the endpoint repeating the start
         return SampledFunction(np.append(grid, period), np.append(values, values[0]))
     return SampledFunction(grid, values)
 
 
+@st.composite
+def near_ties(draw):
+    """(f, alpha) with v = c (x - x_0)^alpha on a uniform grid: every pair with
+    the first point has quotient c up to rounding, in every block, and a few
+    values are moved by one ulp."""
+    n = draw(st.one_of(st.sampled_from(BLOCK_EDGE_SIZES), st.integers(2 * B + 2, 96)))
+    alpha = draw(alphas)
+    grid = draw(st.floats(-8.0, 8.0)) + np.arange(n) * 2.0 ** draw(st.integers(-8, 2))
+    values = draw(st.sampled_from([1.0, -3.0, 1e150, 1e-150])) * (grid - grid[0]) ** alpha
+    moved = draw(st.lists(st.integers(1, n - 1), max_size=4))
+    values[moved] = np.nextafter(values[moved], draw(st.sampled_from([-np.inf, np.inf])))
+    return SampledFunction(grid, values), alpha
+
+
 class TestLagScanEqualsPairScan:
     @settings(max_examples=250, derandomize=True, deadline=None)
-    @given(f=sampled_functions(), alpha=st.floats(0.0, 1.0, exclude_min=True))
+    @given(f=sampled_functions(), alpha=alphas)
     def test_random_grids(self, f, alpha):
         assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=near_ties())
+    def test_near_ties_across_blocks(self, case):
+        f, alpha = case
+        assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(f=sampled_functions(), alpha=alphas, b=st.sampled_from([2, 3, 5, 16, 32]))
+    def test_any_block_size(self, f, alpha, b):
+        # the block size is a fixed function of n; here other sizes are
+        # forced on small grids, since exactness must not depend on it
+        with mock.patch.object(norms, "_block_size", lambda n: b):
+            assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    def test_maximum_at_the_nearest_ends_of_two_blocks(self, alpha):
+        # Four blocks: 0 at x = 0 ... B-1; 0.5 on a cluster halfway to the
+        # third block, which starts at x = B and holds 1; 1 on a fourth block
+        # far off.  The largest quotient, 1, is the pair (B-1, 2B): the
+        # nearest ends of blocks 0 and 2, at a lag that neither the short
+        # lags nor the seed lags visit.  Only a bound measured between those
+        # two ends keeps it, and only the second diagonal holds it.
+        grid = np.concatenate([np.arange(B), B - 0.5 + 1e-3 * np.arange(B),
+                               B + np.arange(B), 1000.0 + np.arange(B)])
+        f = SampledFunction(grid, np.repeat([0.0, 0.5, 1.0, 1.0], B))
+        assert holder_seminorm(f, alpha) == pair_scan_seminorm(f, alpha) == 1.0
+
+    def test_second_block_size(self):
+        # n = 8192 is the first size with 16-point blocks
+        s = np.arange(8192) * (2 * np.pi / 8192)
+        f = closed_interval(np.cos(s) + 0.2 * np.cos(2 * s + 1.0), 6.0)
+        assert norms._block_size(f.n) == 16
+        assert holder_seminorm(f, 0.5) == pair_scan_seminorm(f, 0.5)
+
+    def test_sweep_traffic(self, monkeypatch, tmp_path):
+        # every seminorm a small sweep measures, recorded as it is measured
+        seen = []
+        measure = norms.holder_seminorm
+
+        def recorded(f, alpha):
+            value = measure(f, alpha)
+            seen.append((f, alpha, value))
+            return value
+
+        monkeypatch.setattr(norms, "holder_seminorm", recorded)
+        code = main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.2:0.1",
+                     "--theorem", "all", "--alpha", "0.5", "--n", "128",
+                     "--out", str(tmp_path / "sweep")])
+        assert code == 0 and len(seen) >= 10
+        assert all(f.n == 129 for f, _, _ in seen)
+        for f, alpha, value in seen:
+            assert value == pair_scan_seminorm(f, alpha)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(n=st.integers(2, 64), value=st.floats(-1e6, 1e6),
