@@ -9,7 +9,10 @@ circle angle; the inverse pulls circle data back to arclength.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +35,7 @@ class BoundaryFunction:
     ----------
     values : samples of phi, one per grid point
     L : perimeter (length of the arclength interval)
-    alpha : Holder exponent associated with the datum, in (0, 1)
+    alpha : Holder exponent associated with the datum, in (0, 1]
     derivative_values : optional samples of phi'; when absent, derivatives are
         obtained by spectral differentiation of the trigonometric interpolant
 
@@ -57,8 +60,8 @@ class BoundaryFunction:
             raise InvalidInputError("samples must be finite")
         if not self.L > 0:
             raise InvalidInputError("perimeter must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise InvalidInputError(f"alpha must lie in (0, 1], got {self.alpha}")
         object.__setattr__(self, "values", values)
         if self.derivative_values is not None:
             dv = np.asarray(self.derivative_values, dtype=float)
@@ -248,6 +251,23 @@ def rescale_to_common_interval(phi1: BoundaryFunction, phi2: BoundaryFunction
     return rescaled(phi1), rescaled(phi2), L
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and rename it over
+    ``path``.  On failure the temporary file is removed and ``path`` is left
+    as it was (or absent)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_boundary_data(path, phi: BoundaryFunction) -> None:
     """Write a datum in the plain-text exchange format.
 
@@ -262,8 +282,7 @@ def save_boundary_data(path, phi: BoundaryFunction) -> None:
     else:
         for s, v in zip(grid, phi.values):
             lines.append(f"{s:.17g} {v:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_boundary_data(path) -> BoundaryFunction:

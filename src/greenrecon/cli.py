@@ -15,15 +15,14 @@ import argparse
 import configparser
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import stability
-from .boundary import load_boundary_data, save_boundary_data, build_cumulative
-from .conformal import eval_fprime, forward_operator, load_map, save_map
+from .boundary import _write_atomic, build_cumulative, load_boundary_data, save_boundary_data
+from .conformal import boundary_grid, eval_fprime, forward_operator, load_map, save_map
 from .errors import GreenreconError, InvalidInputError
 from .families import disk, parse_family
 from .geometry import (boundary_of, hausdorff_discretization_bound,
@@ -31,24 +30,10 @@ from .geometry import (boundary_of, hausdorff_discretization_bound,
 from .reconstruct import reconstruct_fprime, roundtrip_error
 
 THEOREMS = ("raggi", "disco", "stab-gen", "lugua", "ultimo")
-TWO_PI = 2.0 * np.pi
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,17 +43,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and stability-inequality reports.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_alpha=True):
+    def common(p):
         p.add_argument("--config", help="key = value config file, one section per command")
         p.add_argument("--n", type=int, default=None, help="grid size (power of two >= 64)")
-        if needs_alpha:
-            p.add_argument("--alpha", type=float, default=None, help="Holder exponent in (0, 1]")
         p.add_argument("--out", default=None, help="output directory (default: .)")
+
+    def alpha(p):
+        p.add_argument("--alpha", type=float, default=None, help="Holder exponent in (0, 1]")
+
+    def emit_plots(p):
         p.add_argument("--emit-plots", action="store_true", default=None,
                        help="also write plain-data series for external plotting")
 
     p = sub.add_parser("forward", help="boundary datum of a map")
     common(p)
+    alpha(p)
+    emit_plots(p)
     p.add_argument("--map", default=None, help="map file")
 
     p = sub.add_parser("invert", help="reconstruct a map from a boundary datum")
@@ -89,6 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run one stability-inequality check")
     common(p)
+    alpha(p)
     p.add_argument("--theorem", choices=THEOREMS, default=None)
     p.add_argument("--map", default=None)
     p.add_argument("--map2", default=None)
@@ -101,6 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run checks across a perturbation family")
     common(p)
+    alpha(p)
+    emit_plots(p)
     p.add_argument("--family", default=None, help="'z+eps*z^k' or 'disk'")
     p.add_argument("--eps", default=None, help="range start:stop:step")
     p.add_argument("--theorem", choices=THEOREMS + ("all",), default=None)
@@ -217,21 +210,15 @@ def _cmd_forward(args) -> int:
     f = load_map(_require_file(args.map, "--map"))
     for warning in f.validate(n):
         print(f"warning: {warning}", file=sys.stderr)
-    stored = min(alpha, 0.99)
-    if stored != alpha:
-        print(f"warning: boundary data need alpha < 1; storing alpha = {stored:g} "
-              f"in place of {alpha:g}", file=sys.stderr)
-    phi = forward_operator(f, n, alpha=stored)
-    out.mkdir(parents=True, exist_ok=True)
+    phi = forward_operator(f, n, alpha=alpha)
     save_boundary_data(out / "datum.bdata", phi)
     cm = build_cumulative(phi)
     theta = cm.theta_nodes()
     _plot_series(out / "cumulative.csv", "s,theta", (phi.grid, theta))
     save_polyline(out / "polyline.csv", boundary_of(f, n))
     if _resolve(args, "emit_plots", False):
-        grid = eval_fprime(f, n)
-        thetas = TWO_PI * np.arange(n) / n
-        _plot_series(out / "fprime_abs.csv", "theta,fprime_abs", (thetas, grid.modulus))
+        _plot_series(out / "fprime_abs.csv", "theta,fprime_abs",
+                     (boundary_grid(n), np.abs(eval_fprime(f, n))))
         _plot_series(out / "datum_plot.csv", "s,phi", (phi.grid, phi.values))
     return 0
 
@@ -246,7 +233,6 @@ def _cmd_invert(args) -> int:
         raise InvalidInputError("missing required option --zeta-b")
     zeta_b = _parse_point(zeta_b_text, "--zeta-b")
     result = reconstruct_fprime(phi, zeta_o, zeta_b, n)
-    out.mkdir(parents=True, exist_ok=True)
     save_map(out / "reconstructed.map", result.map)
     report = [
         "name,value",

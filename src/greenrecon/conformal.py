@@ -19,7 +19,7 @@ import numpy as np
 
 from ._spectral import (TrigInterpolant, _horner, derivative_samples, invert_increasing,
                         uniform_grid)
-from .boundary import BoundaryFunction
+from .boundary import BoundaryFunction, _write_atomic
 from .errors import AliasingError, DataFormatError, DegenerateMapError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -109,24 +109,27 @@ class ConformalMap:
         simple boundary polyline. Returns human-readable warnings."""
         warnings = []
         m = max(n, 2 * self.degree)
-        z = np.exp(1j * boundary_grid(m))
-        fp = self.fprime(z)
+        fp = _on_nodes(self.fprime_coefficients(), m)
         smallest = float(np.min(np.abs(fp)))
         if smallest < 1e-6:
             warnings.append(f"|f'| as small as {smallest:.3g} on the boundary grid")
         if smallest > 0:
-            winding = _winding_of(fp)
+            winding = _total_turning(fp, 0) / TWO_PI
             if abs(winding) > 1e-6:
                 warnings.append(f"argument of f' winds {winding:.3g} times (expected 0)")
-        if not _polyline_is_simple(self(z)):
+        if not _polyline_is_simple(_on_nodes(self.coefficients, m)):
             warnings.append("boundary polyline self-intersects on the test grid")
         return warnings
 
 
-def _winding_of(values: np.ndarray) -> float:
-    closed = np.concatenate([values, values[:1]])
-    dphase = np.angle(closed[1:] / closed[:-1])
-    return float(np.sum(dphase) / TWO_PI)
+def _total_turning(points: np.ndarray, center: complex) -> float:
+    """Total change of arg(points - center) around the closed polygon through
+    the points, in radians: 2 pi times the winding number about center."""
+    rel = points - center
+    if np.min(np.abs(rel)) == 0:
+        raise InvalidInputError("base point lies on the boundary")
+    closed = np.concatenate([rel, rel[:1]])
+    return float(np.sum(np.angle(closed[1:] / closed[:-1])))
 
 
 def _polyline_is_simple(points: np.ndarray, chunk: int = 256) -> bool:
@@ -161,15 +164,6 @@ def _polyline_is_simple(points: np.ndarray, chunk: int = 256) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FprimeGrid:
-    """f' on the boundary grid: complex values, moduli, unwrapped arguments."""
-
-    values: np.ndarray
-    modulus: np.ndarray
-    argument: np.ndarray
-
-
 def _check_grid(f: ConformalMap, n: int) -> None:
     if n < 2 * f.degree:
         raise AliasingError(
@@ -180,31 +174,40 @@ def boundary_grid(n: int) -> np.ndarray:
     return uniform_grid(n, TWO_PI)
 
 
-def eval_boundary(f: ConformalMap, n: int) -> np.ndarray:
-    """f at the n-th roots of unity, in order of increasing angle.
+def _on_nodes(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """sum_k coeffs[k] z^k at the n-th roots of unity z = exp(1j*boundary_grid(n)).
 
-    Exact polynomial evaluation realized by zero-padded Fourier synthesis.
+    Exact polynomial evaluation (for n > degree) realized by zero-padded
+    Fourier synthesis; every boundary-node value of a map comes from here.
     """
-    _check_grid(f, n)
     padded = np.zeros(n, dtype=complex)
-    padded[: f.coefficients.size] = f.coefficients
+    padded[: coeffs.size] = coeffs
     return np.fft.ifft(padded) * n
 
 
-def eval_fprime(f: ConformalMap, n: int) -> FprimeGrid:
-    """f' on the boundary grid with moduli and a continuously unwrapped
-    argument; refuses maps whose derivative (nearly) vanishes at a node."""
+def eval_boundary(f: ConformalMap, n: int) -> np.ndarray:
+    """f at the n-th roots of unity, in order of increasing angle."""
     _check_grid(f, n)
-    d = f.fprime_coefficients()
-    padded = np.zeros(n, dtype=complex)
-    padded[: d.size] = d
-    values = np.fft.ifft(padded) * n
-    modulus = np.abs(values)
-    if np.min(modulus) < DEGENERACY_TOL:
+    return _on_nodes(f.coefficients, n)
+
+
+def eval_fprime(f: ConformalMap, n: int) -> np.ndarray:
+    """f' at the n-th roots of unity, in order of increasing angle; refuses
+    maps whose derivative (nearly) vanishes at a node."""
+    _check_grid(f, n)
+    values = _on_nodes(f.fprime_coefficients(), n)
+    smallest = np.min(np.abs(values))
+    if smallest < DEGENERACY_TOL:
         raise DegenerateMapError(
-            f"|f'| = {np.min(modulus):.3g} at a boundary node; map is degenerate")
-    argument = np.unwrap(np.angle(values))
-    return FprimeGrid(values=values, modulus=modulus, argument=argument)
+            f"|f'| = {smallest:.3g} at a boundary node; map is degenerate")
+    return values
+
+
+def c1_gap(f1: ConformalMap, f2: ConformalMap, n: int) -> float:
+    """sup|f1 - f2| + sup|f1' - f2'| over the n-th roots of unity."""
+    df = eval_boundary(f1, n) - eval_boundary(f2, n)
+    dfp = _on_nodes(f1.fprime_coefficients(), n) - _on_nodes(f2.fprime_coefficients(), n)
+    return float(np.max(np.abs(df)) + np.max(np.abs(dfp)))
 
 
 def arclength(f: ConformalMap, n: int) -> tuple[np.ndarray, float]:
@@ -212,17 +215,15 @@ def arclength(f: ConformalMap, n: int) -> tuple[np.ndarray, float]:
 
     Spectral antidifferentiation of |f'| over theta; L = 2*pi times the mean.
     """
-    _grid, _interp, cumulative = _speed_machinery(f, n)
+    _interp, cumulative = _speed_machinery(f, n)
     return cumulative.node_values(), cumulative.total
 
 
 def _speed_machinery(f: ConformalMap, n: int):
     # the speed |f'| is rotation-invariant; evaluating it in the canonical
     # frame makes the float path independent of the input's orientation
-    grid = eval_fprime(f.canonical(), n)
-    interp = TrigInterpolant(grid.modulus, TWO_PI)
-    cumulative = interp.antiderivative()
-    return grid, interp, cumulative
+    interp = TrigInterpolant(np.abs(eval_fprime(f.canonical(), n)), TWO_PI)
+    return interp, interp.antiderivative()
 
 
 def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFunction:
@@ -233,7 +234,7 @@ def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFun
     arclength derivative are then evaluated through the interpolant of |f'|,
     which keeps the compatibility identities spectrally accurate.
     """
-    _grid, interp, cumulative = _speed_machinery(f, n)
+    interp, cumulative = _speed_machinery(f, n)
     L = cumulative.total
     s_targets = uniform_grid(n, L)
     theta = invert_increasing(cumulative, s_targets, 0.0, TWO_PI)
@@ -253,7 +254,7 @@ def pushforward_datum(f: ConformalMap, n: int) -> tuple[np.ndarray, np.ndarray]:
     read off the map without an inversion; (|f'|)' is the spectral derivative
     of the speed samples, in the canonical frame as in :func:`forward_operator`.
     """
-    speed = eval_fprime(f.canonical(), n).modulus
+    speed = np.abs(eval_fprime(f.canonical(), n))
     return (1.0 / (TWO_PI * speed),
             -derivative_samples(speed, TWO_PI) / (TWO_PI * speed ** 2))
 
@@ -267,8 +268,7 @@ def save_map(path, f: ConformalMap) -> None:
     ]
     for k, a in enumerate(f.coefficients):
         lines.append(f"{k} {a.real:.17g} {a.imag:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_map(path) -> ConformalMap:

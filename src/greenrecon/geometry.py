@@ -12,7 +12,9 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
-from .conformal import ConformalMap, arclength, eval_boundary
+from .boundary import _write_atomic
+from .conformal import (ConformalMap, _total_turning, arclength, boundary_grid,
+                        eval_boundary)
 from .errors import InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -61,7 +63,7 @@ class DomainBoundary:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "arclengths", s)
         if self.thetas is None:
-            object.__setattr__(self, "thetas", TWO_PI * np.arange(pts.size) / pts.size)
+            object.__setattr__(self, "thetas", boundary_grid(pts.size))
         else:
             object.__setattr__(self, "thetas", np.asarray(self.thetas, dtype=float))
         winding = _total_turning(pts, complex(self.zeta_o)) / TWO_PI
@@ -80,19 +82,10 @@ class DomainBoundary:
         return float(np.max(self.edge_lengths()))
 
 
-def _total_turning(points: np.ndarray, center: complex) -> float:
-    rel = points - center
-    if np.min(np.abs(rel)) == 0:
-        raise InvalidInputError("base point lies on the boundary")
-    closed = np.concatenate([rel, rel[:1]])
-    return float(np.sum(np.angle(closed[1:] / closed[:-1])))
-
-
 def boundary_of(f: ConformalMap, n: int) -> DomainBoundary:
     """Sample a map's boundary into a polyline with arclength tags."""
     s, _ = arclength(f, n)
-    return DomainBoundary(points=eval_boundary(f, n), zeta_o=f.zeta_o,
-                          arclengths=s, thetas=TWO_PI * np.arange(n) / n)
+    return DomainBoundary(points=eval_boundary(f, n), zeta_o=f.zeta_o, arclengths=s)
 
 
 def inradius_circumradius(b: DomainBoundary) -> tuple[float, float]:
@@ -383,5 +376,4 @@ def save_polyline(path, b: DomainBoundary) -> None:
     lines = ["theta,s,re,im"]
     for theta, s, p in zip(b.thetas, b.arclengths, b.points):
         lines.append(f"{theta:.17g},{s:.17g},{p.real:.17g},{p.imag:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")

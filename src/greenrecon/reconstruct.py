@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryFunction, build_cumulative
-from .conformal import ConformalMap, boundary_grid, eval_boundary, eval_fprime
+from .conformal import ConformalMap, boundary_grid, c1_gap
 from .errors import InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -136,6 +136,4 @@ def roundtrip_error(f: ConformalMap, n: int, alignment: str = "proof") -> float:
     phi = forward_operator(f, n)
     result = reconstruct_fprime(phi, f.zeta_o, f.zeta_b, n)
     _, matched = align_rotation(f, result.map, mode=alignment, n=n)
-    df = eval_boundary(f, n) - eval_boundary(matched, n)
-    dfp = eval_fprime(f, n).values - eval_fprime(matched, n).values
-    return float(np.max(np.abs(df)) + np.max(np.abs(dfp)))
+    return c1_gap(f, matched, n)

@@ -34,7 +34,7 @@ from scipy.integrate import quad
 from . import norms
 from ._spectral import trig_sup_abs
 from .boundary import BoundaryFunction, rescale_to_common_interval
-from .conformal import (ConformalMap, _check_grid, boundary_grid, forward_operator,
+from .conformal import (ConformalMap, _check_grid, c1_gap, forward_operator,
                         pushforward_datum)
 from .errors import InvalidInputError
 from .families import disk_for_constant
@@ -262,14 +262,6 @@ def _interval_seminorm(values: np.ndarray, period: float, alpha: float) -> float
     return norms.holder_seminorm(norms.closed_interval(values, period), alpha)
 
 
-def _c1_gap(f1: ConformalMap, f2: ConformalMap, n: int) -> float:
-    """sup|f1 - f2| + sup|f1' - f2'| over the boundary nodes."""
-    z = np.exp(1j * boundary_grid(n))
-    df = f1(z) - f2(z)
-    dfp = f1.fprime(z) - f2.fprime(z)
-    return float(np.max(np.abs(df)) + np.max(np.abs(dfp)))
-
-
 @dataclass(frozen=True, eq=False)
 class DomainSample:
     """One domain at grid size n, as every check reads it.
@@ -404,7 +396,7 @@ def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, alpha: float,
         lhs=_interval_seminorm(np.log(psi1) - np.log(psi2), TWO_PI, alpha),
         rhs_norm=bundle.C1 * sup_dpsi + bundle.C2 * seminorm_dpsi, K=1.0, **common))
     rows.append(StabilityReport(
-        row="map_gap", lhs=_c1_gap(d1.f, f2r, n), rhs_norm=sup_dpsi + seminorm_dpsi,
+        row="map_gap", lhs=c1_gap(d1.f, f2r, n), rhs_norm=sup_dpsi + seminorm_dpsi,
         K=bundle.K_stab, **common))
     return rows
 
@@ -439,7 +431,7 @@ def check_theorem_disco(d: DomainSample, C: float, alpha: float,
         raise InvalidInputError("constant datum must be positive")
     _, f_C = align_rotation(d.f, disk_for_constant(C, zeta_o=d.f.zeta_o),
                             mode=alignment, n=d.n)
-    return [_constant_gap_row("disco", "map_gap_vs_disk", _c1_gap(d.f, f_C, d.n),
+    return [_constant_gap_row("disco", "map_gap_vs_disk", c1_gap(d.f, f_C, d.n),
                               d, C, alpha, alignment, m, M0)]
 
 
@@ -476,7 +468,7 @@ def _chain(d1: DomainSample, d2: DomainSample, alpha: float, alignment: str,
     _, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
     lhs = [float(np.max(np.abs(arc_scales[0] * s1 - arc_scales[1] * s2))),
            trig_sup_abs(dpsi), _interval_seminorm(dpsi, TWO_PI, alpha),
-           TWO_PI * sup_dpsi_prime, _c1_gap(d1.f, f2r, n),
+           TWO_PI * sup_dpsi_prime, c1_gap(d1.f, f2r, n),
            hausdorff_distance(d1.polyline, boundary_of(f2r, n))]
     rows = list(rows)
     rows.insert(2, (rows[0][0], "seminorm_from_derivative", sup_dpsi_prime,

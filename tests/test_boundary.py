@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from greenrecon.boundary import (BoundaryFunction, COMPATIBILITY_TOL,
-                                 INVERSION_TOL, build_cumulative,
+                                 INVERSION_TOL, _write_atomic, build_cumulative,
                                  invert_cumulative, load_boundary_data,
                                  rescale_to_common_interval, save_boundary_data,
                                  validate_class)
+from greenrecon.conformal import save_map
 from greenrecon.errors import (CompatibilityError, DataFormatError,
                                InvalidInputError)
+from greenrecon.families import perturbed_disk
+from greenrecon.geometry import boundary_of, save_polyline
 from greenrecon.norms import holder_seminorm
 
 TWO_PI = 2 * np.pi
@@ -225,3 +228,34 @@ class TestDataFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError):
             load_boundary_data(path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # a lone surrogate cannot be encoded, so the write fails before the rename
+        with pytest.raises(UnicodeEncodeError):
+            _write_atomic(tmp_path / "out.csv", "1,2\n\ud800")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("save, obj", [
+        (save_boundary_data, constant_datum(n=16, L=1.0)),
+        (save_map, perturbed_disk(0.1)),
+        (save_polyline, boundary_of(perturbed_disk(0.1), 16)),
+    ], ids=["bdata", "map", "polyline"])
+    def test_saves_replace_the_target_only_on_success(self, tmp_path, monkeypatch,
+                                                      save, obj):
+        target = tmp_path / "target"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("greenrecon.boundary.os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            save(target, obj)
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "old\n"
+        monkeypatch.undo()
+        save(target, obj)
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() != "old\n"

@@ -111,14 +111,12 @@ class TestForwardInvertPipeline:
         assert report["consistent"] == "true"
         assert abs(float(report["gamma"])) <= 1e-8
 
-    def test_alpha_clamp_warns(self, tmp_path, pert_map, capsys):
+    def test_alpha_one_stored_as_one(self, tmp_path, pert_map, capsys):
         out = tmp_path / "fwd"
         assert main(["forward", "--map", str(pert_map), "--out", str(out),
                      "--n", "64", "--alpha", "1"]) == 0
-        err = capsys.readouterr().err
-        assert "warning: boundary data need alpha < 1; storing alpha = 0.99 " \
-               "in place of 1" in err
-        assert load_boundary_data(out / "datum.bdata").alpha == 0.99
+        assert "alpha" not in capsys.readouterr().err
+        assert load_boundary_data(out / "datum.bdata").alpha == 1.0
 
     def test_alpha_below_one_stored_silently(self, tmp_path, pert_map, capsys):
         out = tmp_path / "fwd"
@@ -187,6 +185,18 @@ class TestConfigFile:
         _apply_config(args)
         assert (args.M0, args.M1, args.P, args.p) == (5.0, 6.0, 100.0, 0.5)
         assert args.m is None
+
+    def test_option_a_command_ignores_is_refused(self, tmp_path, disk_map, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", "--data", "datum.bdata", "--zeta-b", "1,0", "--alpha", "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha 0.5" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[hausdorff]\nmap = {disk_map}\nmap2 = {disk_map}\n"
+                       "emit-plots = true\n")
+        assert main(["hausdorff", "--config", str(cfg)]) == 1
+        assert f"{cfg}:4: unknown option 'emit-plots' for command 'hausdorff'" \
+            in capsys.readouterr().err
 
     def test_bad_value_line_is_the_keys_own(self, tmp_path, disk_map, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from greenrecon._spectral import derivative_samples
-from greenrecon.conformal import (ConformalMap, arclength, boundary_grid,
-                                  eval_boundary, eval_fprime, forward_operator,
-                                  load_map, save_map)
+from greenrecon._spectral import _horner, derivative_samples
+from greenrecon.conformal import (ConformalMap, _on_nodes, _total_turning, arclength,
+                                  boundary_grid, c1_gap, eval_boundary, eval_fprime,
+                                  forward_operator, load_map, save_map)
 from greenrecon.errors import (AliasingError, DataFormatError,
                                DegenerateMapError, InvalidInputError)
 from greenrecon.families import (disk, disk_for_constant, equal_perimeter_pair,
@@ -36,8 +38,8 @@ class TestConformalMap:
         assert g.coefficients[1].imag == pytest.approx(0.0, abs=1e-15)
         assert g.coefficients[1].real > 0
         # speed is rotation-invariant, so the canonical frame changes nothing
-        assert np.allclose(eval_fprime(g, 64).modulus,
-                           eval_fprime(f, 64).modulus, atol=1e-13)
+        assert np.allclose(np.abs(eval_fprime(g, 64)),
+                           np.abs(eval_fprime(f, 64)), atol=1e-13)
 
     def test_canonical_is_idempotent(self):
         f = perturbed_disk(0.1)
@@ -82,27 +84,69 @@ class TestEvalBoundary:
 class TestEvalFprime:
     def test_disk_constant(self):
         f = disk(rho=0.5, zeta_o=1j, gamma=0.3)
-        grid = eval_fprime(f, 32)
-        assert np.allclose(grid.modulus, 0.5, atol=1e-14)
-        assert np.allclose(np.mod(grid.argument, TWO_PI), 0.3, atol=1e-12)
+        values = eval_fprime(f, 32)
+        assert np.allclose(np.abs(values), 0.5, atol=1e-14)
+        assert np.allclose(np.mod(np.angle(values), TWO_PI), 0.3, atol=1e-12)
 
     def test_quadratic_closed_form(self):
         f = perturbed_disk(0.1)
         theta = boundary_grid(256)
-        grid = eval_fprime(f, 256)
-        assert np.allclose(grid.modulus,
+        values = eval_fprime(f, 256)
+        assert np.allclose(np.abs(values),
                            np.sqrt(1.04 + 0.4 * np.cos(theta)), atol=1e-13)
 
     def test_argument_winding_zero(self):
-        grid = eval_fprime(perturbed_disk(0.2), 256)
-        closure = np.angle(grid.values[0] / grid.values[-1])
-        total = (grid.argument[-1] - grid.argument[0] + closure) / TWO_PI
-        assert abs(total) <= 1e-10
+        values = eval_fprime(perturbed_disk(0.2), 256)
+        assert abs(_total_turning(values, 0) / TWO_PI) <= 1e-10
 
     def test_degenerate_derivative_refused(self):
         # f' = 1 + z vanishes at theta = pi, which is a grid node
         with pytest.raises(DegenerateMapError):
             eval_fprime(perturbed_disk(0.5), 64)
+
+
+def horner_c1_gap(f1, f2, n):
+    """The C1 gap by Horner's rule at the roots of unity: the oracle of the
+    zero-padded FFT route."""
+    z = np.exp(1j * boundary_grid(n))
+    df = f1(z) - f2(z)
+    dfp = f1.fprime(z) - f2.fprime(z)
+    return float(np.max(np.abs(df)) + np.max(np.abs(dfp)))
+
+
+@st.composite
+def node_maps(draw):
+    """n in {16, 64, 512} and two maps of random complex coefficients with
+    degree at most n/2, at scales from 1e-3 to 1e3."""
+    n = draw(st.sampled_from([16, 64, 512]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def coefficients():
+        size = draw(st.integers(2, n // 2 + 1))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        decay = draw(st.sampled_from([0.0, 0.05, 0.5]))
+        raw = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return scale * raw * np.exp(-decay * np.arange(size))
+
+    return n, ConformalMap(coefficients()), ConformalMap(coefficients())
+
+
+class TestNodeEvaluator:
+    @settings(max_examples=60, deadline=None)
+    @given(node_maps())
+    def test_agrees_with_horner(self, case):
+        n, f1, f2 = case
+        z = np.exp(1j * boundary_grid(n))
+        for c in (f1.coefficients, f1.fprime_coefficients()):
+            assert np.max(np.abs(_on_nodes(c, n) - _horner(c, z))) \
+                <= 1e-13 * np.sum(np.abs(c))
+        l1 = sum(np.sum(np.abs(c)) for f in (f1, f2)
+                 for c in (f.coefficients, f.fprime_coefficients()))
+        assert abs(c1_gap(f1, f2, n) - horner_c1_gap(f1, f2, n)) <= 1e-13 * l1
+
+    def test_gap_refuses_a_coarse_grid(self):
+        with pytest.raises(AliasingError):
+            c1_gap(perturbed_disk(0.1, k=4), disk(), 6)
 
 
 class TestArclength:
@@ -200,8 +244,8 @@ class TestForwardOperator:
         f = perturbed_disk(0.12)
         g = f.rotated(1.23)
         n = 128
-        assert np.allclose(eval_fprime(f, n).modulus,
-                           eval_fprime(g, n).modulus, atol=1e-13)
+        assert np.allclose(np.abs(eval_fprime(f, n)),
+                           np.abs(eval_fprime(g, n)), atol=1e-13)
         sf, Lf = arclength(f, n)
         sg, Lg = arclength(g, n)
         assert Lf == pytest.approx(Lg, abs=1e-13)
