@@ -18,22 +18,53 @@ def uniform_grid(n: int, period: float, start: float = 0.0) -> np.ndarray:
     return start + np.arange(n) * (period / n)
 
 
-def _horner(coeffs: np.ndarray, z) -> np.ndarray:
-    """sum_k coeffs[k] * z**k by Horner's rule, in place."""
+# Baby steps per giant step, and points per block: a block's table of powers
+# is 32 x 512 complex values, 256 KB, whatever the number of points.
+_BABY = 32
+_BLOCK = 512
+
+
+def _power_sum(coeffs: np.ndarray, z) -> np.ndarray:
+    """sum_k coeffs[k] * z**k, of the shape of z, by baby-step/giant-step
+    evaluation (Paterson & Stockmeyer, SIAM J. Comput. 1973).
+
+    For each block of points: the powers z**0 ... z**(b-1) by running product,
+    one matrix product with the coefficients as ceil(K/b) rows of b, then
+    Horner in w = z**b over those rows.
+    """
     z = np.asarray(z, dtype=complex)
-    out = np.full(z.shape, coeffs[-1], dtype=complex)
-    for c in coeffs[-2::-1].tolist():
-        out *= z
-        out += c
-    return out
+    flat = z.ravel()
+    b = min(_BABY, coeffs.size)
+    rows = -(-coeffs.size // b)
+    table = np.zeros(rows * b, dtype=complex)
+    table[: coeffs.size] = coeffs
+    table = table.reshape(rows, b)              # table[m, j] = coeffs[m*b + j]
+    out = np.empty(flat.size, dtype=complex)
+    powers = np.empty((b, min(_BLOCK, flat.size)), dtype=complex)
+    for lo in range(0, flat.size, _BLOCK):
+        zb = flat[lo: lo + _BLOCK]
+        p = powers[:, : zb.size]
+        p[0] = 1.0
+        for j in range(1, b):
+            np.multiply(p[j - 1], zb, out=p[j])
+        partial = table @ p
+        acc = partial[-1]
+        if rows > 1:
+            w = p[-1] * zb
+            for m in range(rows - 2, -1, -1):
+                acc *= w
+                acc += partial[m]
+        out[lo: lo + zb.size] = acc
+    return out.reshape(z.shape)
 
 
 def _synthesize(coeffs: np.ndarray, step: float, x, first: int = 0) -> np.ndarray:
     """Re sum_k coeffs[k] * z**(first + k) with z = exp(1j*step*x): one exp
-    per point, then Horner in z, in memory linear in the number of points."""
+    per point, then the blocked power sum, in memory linear in the number of
+    points."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.exp(1j * step * x)
-    return (_horner(coeffs, z) * z ** first).real
+    return (_power_sum(coeffs, z) * z ** first).real
 
 
 class TrigInterpolant:
@@ -49,7 +80,7 @@ class TrigInterpolant:
     """
 
     def __init__(self, values, period: float):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim != 1 or values.size < 4:
             raise InvalidInputError("need a flat array of at least 4 samples")
         if not np.all(np.isfinite(values)):
@@ -57,6 +88,7 @@ class TrigInterpolant:
         if values.size % 2:
             raise InvalidInputError("sample count must be even")
         self.n = values.size
+        self.values = values
         self.period = float(period)
         self.coeffs = np.fft.rfft(values) / self.n
         self.omega = 2.0 * np.pi * np.arange(self.coeffs.size) / self.period
@@ -172,28 +204,51 @@ def trig_sup_abs(values, oversample: int = 8) -> float:
     return float(max(best, y0, np.max(np.abs(values))))
 
 
-def invert_increasing(cumulative: CumulativeTrig, targets, lo: float, hi: float,
-                      tol: float | None = None, max_iter: int = 100) -> np.ndarray:
-    """Solve S(x) = t for each target on [lo, hi], S strictly increasing.
+def _newton_seed(cumulative: CumulativeTrig, t: np.ndarray) -> np.ndarray:
+    """Starting guesses for S(x) = t: the cubic-Hermite interpolant of the
+    inverse through the node table (x_j, S(x_j)) with slopes 1/S'(x_j), one
+    irfft and no synthesis, clipped to each target's node interval.  Falls
+    back to the linear guess everywhere if the table is not strictly
+    increasing, and for a target next to a node slope that is not positive."""
+    n, period = cumulative.interp.n, cumulative.period
+    linear = period * np.clip(t / cumulative.total, 0.0, 1.0)
+    xs = np.append(uniform_grid(n, period), period)
+    ss = np.append(cumulative.node_values(), cumulative.total)
+    h = np.diff(ss)
+    if not np.all(h > 0):
+        return linear
+    slopes = cumulative.interp.values + (cumulative.mean - cumulative.interp.mean)
+    slopes = np.append(slopes, slopes[0])
+    j = np.clip(np.searchsorted(ss, t, side="right") - 1, 0, n - 1)
+    ok = (slopes[j] > 0) & (slopes[j + 1] > 0)
+    inv = 1.0 / np.where(slopes > 0, slopes, 1.0)   # dx/dS at the nodes
+    u = (t - ss[j]) / h[j]
+    seed = (xs[j] + u * u * (3.0 - 2.0 * u) * (xs[j + 1] - xs[j])
+            + h[j] * u * (1.0 - u) * ((1.0 - u) * inv[j] - u * inv[j + 1]))
+    return np.where(ok, np.clip(seed, xs[j], xs[j + 1]), linear)
 
-    Newton iteration on the interpolant with a bracketing bisection fallback;
-    terminates when every residual |S(x) - t| falls below ``tol`` (default:
-    a few dozen ulps of the total increment, which Newton reaches in a handful
-    of extra iterations and which keeps downstream spectra at rounding level),
-    else raises :class:`ConvergenceError` after ``max_iter`` iterations.
+
+def invert_increasing(cumulative: CumulativeTrig, targets,
+                      tol: float | None = None, max_iter: int = 100) -> np.ndarray:
+    """Solve S(x) = t for each target on [0, period], S strictly increasing.
+
+    Newton iteration on the interpolant from the node-table seed, with a
+    bracketing bisection fallback; terminates when every residual
+    |S(x) - t| falls below ``tol`` (default: a few dozen ulps of the total
+    increment, which keeps downstream spectra at rounding level), else
+    raises :class:`ConvergenceError` after ``max_iter`` iterations.
     """
     t = np.atleast_1d(np.asarray(targets, dtype=float))
-    s_lo = float(cumulative(np.array([lo]))[0])
-    s_hi = float(cumulative(np.array([hi]))[0])
-    span = s_hi - s_lo
+    hi = cumulative.period
+    span = cumulative.total            # S(0) = 0 and S(period) = total by construction
     if not span > 0:
         raise InvalidInputError("cumulative function is not increasing on the interval")
     if tol is None:
         tol = 64.0 * np.finfo(float).eps * max(1.0, abs(span))
-    t = np.clip(t, s_lo, s_hi)  # targets beyond the range map to the nearer end
-    xlo = np.full(t.shape, lo)
+    t = np.clip(t, 0.0, span)  # targets beyond the range map to the nearer end
+    xlo = np.zeros(t.shape)
     xhi = np.full(t.shape, hi)
-    x = lo + (hi - lo) * np.clip((t - s_lo) / span, 0.0, 1.0)
+    x = _newton_seed(cumulative, t)
     worst = np.inf
     for _ in range(max_iter):
         resid = cumulative(x) - t
@@ -202,13 +257,13 @@ def invert_increasing(cumulative: CumulativeTrig, targets, lo: float, hi: float,
             break
         xlo = np.where(resid < 0, x, xlo)
         xhi = np.where(resid > 0, x, xhi)
-        step = resid / cumulative.slope(x)
-        xn = x - step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - resid / cumulative.slope(x)
         bad = ~np.isfinite(xn) | (xn < xlo) | (xn > xhi)
         x = np.where(bad, 0.5 * (xlo + xhi), xn)
     else:
         raise ConvergenceError(max_iter, worst, tol)
     # pin exact endpoints
-    x = np.where(t <= s_lo, lo, x)
-    x = np.where(t >= s_hi, hi, x)
+    x = np.where(t <= 0.0, 0.0, x)
+    x = np.where(t >= span, hi, x)
     return x

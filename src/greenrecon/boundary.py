@@ -146,7 +146,7 @@ class CumulativeMap:
         reduced = np.where((theta >= 0) & (theta <= TWO_PI), theta, np.mod(theta, TWO_PI))
         targets = reduced / TWO_PI
         # default tolerance sits at rounding level, far inside INVERSION_TOL
-        return invert_increasing(self._cum, targets, 0.0, self.L)
+        return invert_increasing(self._cum, targets)
 
 
 def build_cumulative(phi: BoundaryFunction, renormalize: bool = False) -> CumulativeMap:

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from ._spectral import (TrigInterpolant, _horner, derivative_samples, invert_increasing,
+from ._spectral import (TrigInterpolant, _power_sum, derivative_samples, invert_increasing,
                         uniform_grid)
 from .boundary import BoundaryFunction, _write_atomic
 from .errors import AliasingError, DataFormatError, DegenerateMapError, InvalidInputError
@@ -65,14 +66,14 @@ class ConformalMap:
         return self.coefficients.size - 1
 
     def __call__(self, z) -> np.ndarray:
-        return _horner(self.coefficients, z)
+        return _power_sum(self.coefficients, z)
 
     def fprime_coefficients(self) -> np.ndarray:
         c = self.coefficients
         return c[1:] * np.arange(1, c.size)
 
     def fprime(self, z) -> np.ndarray:
-        return _horner(self.fprime_coefficients(), z)
+        return _power_sum(self.fprime_coefficients(), z)
 
     def rotated(self, gamma: float) -> "ConformalMap":
         """Rotation of the image domain about zeta_o by angle gamma."""
@@ -132,34 +133,38 @@ def _total_turning(points: np.ndarray, center: complex) -> float:
     return float(np.sum(np.angle(closed[1:] / closed[:-1])))
 
 
-def _polyline_is_simple(points: np.ndarray, chunk: int = 256) -> bool:
-    """Brute-force segment intersection test for the closed polyline."""
+def _polyline_is_simple(points: np.ndarray, chunk: int = 1 << 16) -> bool:
+    """Segment intersection test for the closed polyline.
+
+    Segments that cross have start points at most the sum of their lengths
+    apart, so only start points within twice the longest edge (a KD-tree
+    query, widened by a rounding margin) are paired, and each pair is tested
+    in both orders, as a scan of all ordered pairs would test it.
+    """
     n = points.size
     p = np.column_stack([points.real, points.imag])
-    q = np.roll(p, -1, axis=0)
-    d = q - p
+    d = np.roll(p, -1, axis=0) - p
 
     def cross(u, v):
         return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        i = np.arange(lo, hi)[:, None]
-        j = np.arange(n)[None, :]
-        # skip identical and adjacent segments (they share an endpoint)
-        gap = (j - i) % n
-        relevant = (gap > 1) & (gap < n - 1)
-        pi, di = p[lo:hi, None, :], d[lo:hi, None, :]
-        pj, dj = p[None, :, :], d[None, :, :]
-        r = pj - pi
+    def crosses(i, j):
+        di, dj = d[i], d[j]
+        r = p[j] - p[i]
         denom = cross(di, dj)
-        t_num = cross(r, dj)
-        u_num = cross(r, di)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = t_num / denom
-            u = u_num / denom
-        hit = (np.abs(denom) > 1e-300) & (t > 0) & (t < 1) & (u > 0) & (u < 1) & relevant
-        if np.any(hit):
+            t = cross(r, dj) / denom
+            u = cross(r, di) / denom
+        return np.any((np.abs(denom) > 1e-300) & (t > 0) & (t < 1) & (u > 0) & (u < 1))
+
+    reach = 2.0 * float(np.max(np.hypot(d[:, 0], d[:, 1])))
+    pairs = cKDTree(p).query_pairs(reach * (1.0 + 1e-9), output_type="ndarray")
+    # skip adjacent segments (they share an endpoint)
+    gap = (pairs[:, 1] - pairs[:, 0]) % n
+    pairs = pairs[(gap > 1) & (gap < n - 1)]
+    for lo in range(0, len(pairs), chunk):
+        i, j = pairs[lo: lo + chunk].T
+        if crosses(i, j) or crosses(j, i):
             return False
     return True
 
@@ -237,7 +242,7 @@ def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFun
     interp, cumulative = _speed_machinery(f, n)
     L = cumulative.total
     s_targets = uniform_grid(n, L)
-    theta = invert_increasing(cumulative, s_targets, 0.0, TWO_PI)
+    theta = invert_increasing(cumulative, s_targets)
     speed = interp(theta)                      # |f'| at the mapped angles
     values = 1.0 / (TWO_PI * speed)
     # phi'(s) = d/d theta [1/(2 pi |f'|)] * d theta/d s, d theta/d s = 1/|f'|

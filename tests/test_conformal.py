@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from greenrecon._spectral import _horner, derivative_samples
-from greenrecon.conformal import (ConformalMap, _on_nodes, _total_turning, arclength,
-                                  boundary_grid, c1_gap, eval_boundary, eval_fprime,
-                                  forward_operator, load_map, save_map)
+from greenrecon._spectral import _power_sum, derivative_samples
+from greenrecon.conformal import (ConformalMap, _on_nodes, _polyline_is_simple,
+                                  _total_turning, arclength, boundary_grid, c1_gap,
+                                  eval_boundary, eval_fprime, forward_operator, load_map,
+                                  save_map)
 from greenrecon.errors import (AliasingError, DataFormatError,
                                DegenerateMapError, InvalidInputError)
 from greenrecon.families import (disk, disk_for_constant, equal_perimeter_pair,
@@ -55,6 +56,68 @@ class TestConformalMap:
         # z + 0.6 z^2 is not univalent: the boundary curve self-intersects
         warnings = perturbed_disk(0.6).validate(256)
         assert warnings
+
+
+def scan_is_simple(points, chunk=256):
+    """Every ordered segment pair by the cross-product test: the oracle of
+    the KD-tree candidate-pair scan in ``_polyline_is_simple``."""
+    n = points.size
+    p = np.column_stack([points.real, points.imag])
+    d = np.roll(p, -1, axis=0) - p
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        i = np.arange(lo, hi)[:, None]
+        gap = (np.arange(n)[None, :] - i) % n
+        relevant = (gap > 1) & (gap < n - 1)
+        di, dj = d[lo:hi, None, :], d[None, :, :]
+        r = p[None, :, :] - p[lo:hi, None, :]
+        denom = cross(di, dj)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = cross(r, dj) / denom
+            u = cross(r, di) / denom
+        hit = (np.abs(denom) > 1e-300) & (t > 0) & (t < 1) & (u > 0) & (u < 1) & relevant
+        if np.any(hit):
+            return False
+    return True
+
+
+@st.composite
+def star_polygons(draw):
+    """Vertices at jittered angles around the origin: simple when the jitter
+    keeps the angles in order, often self-intersecting when it does not."""
+    n = draw(st.sampled_from([4, 5, 16, 64, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    jitter = draw(st.sampled_from([0.0, 0.4, 3.0]))
+    angles = TWO_PI * (np.arange(n) + jitter * rng.standard_normal(n)) / n
+    radii = rng.uniform(draw(st.sampled_from([0.1, 0.9])), 1.0, n)
+    return radii * np.exp(1j * angles)
+
+
+class TestPolylineSimplicity:
+    @settings(max_examples=60, deadline=None)
+    @given(star_polygons())
+    def test_star_polygons_match_the_scan(self, points):
+        expected = scan_is_simple(points)
+        assert _polyline_is_simple(points) == expected
+        assert _polyline_is_simple(points, chunk=7) == expected
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_quadratic_family_matches_the_scan(self, n):
+        verdicts = []
+        for eps in np.arange(1, 10) / 10:
+            points = eval_boundary(perturbed_disk(eps), n)
+            verdicts.append(_polyline_is_simple(points))
+            assert verdicts[-1] == scan_is_simple(points)
+        assert verdicts == [True] * 5 + [False] * 4
+
+    @pytest.mark.parametrize("eps", [0.45, 0.6])
+    def test_quadratic_family_at_4096(self, eps):
+        points = eval_boundary(perturbed_disk(eps), 4096)
+        assert _polyline_is_simple(points) == scan_is_simple(points) == (eps < 0.5)
 
 
 class TestEvalBoundary:
@@ -105,12 +168,53 @@ class TestEvalFprime:
             eval_fprime(perturbed_disk(0.5), 64)
 
 
+def horner(coeffs, z):
+    """sum_k coeffs[k] * z**k by Horner's rule: the oracle of the blocked
+    power-sum kernel and of the zero-padded FFT."""
+    z = np.asarray(z, dtype=complex)
+    out = np.full(z.shape, coeffs[-1], dtype=complex)
+    for c in coeffs[-2::-1].tolist():
+        out *= z
+        out += c
+    return out
+
+
+@st.composite
+def power_sums(draw):
+    """Coefficient counts around the 32 baby steps, point counts around the
+    512-point block, points on the unit circle or inside it."""
+    size = draw(st.sampled_from([1, 2, 31, 32, 33, 1025]))
+    count = draw(st.sampled_from([0, 1, 511, 512, 513, 2048]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    radius = 1.0 if draw(st.booleans()) else rng.uniform(0.0, 1.0, count)
+    return coeffs, radius * np.exp(1j * rng.uniform(0.0, TWO_PI, count))
+
+
+class TestPowerSum:
+    @settings(max_examples=80, deadline=None)
+    @given(power_sums())
+    def test_agrees_with_horner(self, case):
+        coeffs, z = case
+        got = _power_sum(coeffs, z)
+        assert got.shape == z.shape
+        assert np.all(np.abs(got - horner(coeffs, z)) <= 1e-13 * np.sum(np.abs(coeffs)))
+
+    def test_scalar_and_zero_d_inputs(self):
+        f = perturbed_disk(0.3, k=3)
+        for z in (0.3 + 0.4j, np.complex128(0.3 + 0.4j), np.array(0.3 + 0.4j), 0.5):
+            for coeffs, method in ((f.coefficients, f), (f.fprime_coefficients(), f.fprime)):
+                got = method(z)
+                assert got.shape == ()
+                assert abs(got - horner(coeffs, z)) <= 1e-15 * np.sum(np.abs(coeffs))
+
+
 def horner_c1_gap(f1, f2, n):
     """The C1 gap by Horner's rule at the roots of unity: the oracle of the
     zero-padded FFT route."""
     z = np.exp(1j * boundary_grid(n))
-    df = f1(z) - f2(z)
-    dfp = f1.fprime(z) - f2.fprime(z)
+    df = horner(f1.coefficients, z) - horner(f2.coefficients, z)
+    dfp = horner(f1.fprime_coefficients(), z) - horner(f2.fprime_coefficients(), z)
     return float(np.max(np.abs(df)) + np.max(np.abs(dfp)))
 
 
@@ -138,7 +242,7 @@ class TestNodeEvaluator:
         n, f1, f2 = case
         z = np.exp(1j * boundary_grid(n))
         for c in (f1.coefficients, f1.fprime_coefficients()):
-            assert np.max(np.abs(_on_nodes(c, n) - _horner(c, z))) \
+            assert np.max(np.abs(_on_nodes(c, n) - horner(c, z))) \
                 <= 1e-13 * np.sum(np.abs(c))
         l1 = sum(np.sum(np.abs(c)) for f in (f1, f2)
                  for c in (f.coefficients, f.fprime_coefficients()))

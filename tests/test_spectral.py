@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import greenrecon
+from greenrecon import _spectral, conformal
 from greenrecon._spectral import TrigInterpolant, invert_increasing
 from greenrecon.errors import ConvergenceError, GreenreconError
+from greenrecon.families import perturbed_disk
 
 PERIOD = 3.7
 SIZES = (16, 512, 4096)
@@ -134,7 +136,7 @@ class TestInvertIncreasing:
         cum = positive_cumulative()
         s_lo, s_hi = cum(0.0)[0], cum(PERIOD)[0]
         targets = np.linspace(s_lo, s_hi, 1001)
-        x = invert_increasing(cum, targets, 0.0, PERIOD, tol=tol)
+        x = invert_increasing(cum, targets, tol=tol)
         if tol is None:
             tol = 64.0 * np.finfo(float).eps * max(1.0, s_hi - s_lo)
         assert np.max(np.abs(cum(x) - targets)) <= tol
@@ -142,15 +144,34 @@ class TestInvertIncreasing:
 
     def test_targets_beyond_the_range_map_to_the_ends(self):
         cum = positive_cumulative()
-        x = invert_increasing(cum, [-0.5, cum.total / 2, cum.total + 0.5], 0.0, PERIOD)
+        x = invert_increasing(cum, [-0.5, cum.total / 2, cum.total + 0.5])
         assert x[0] == 0.0 and x[2] == PERIOD
         assert abs(cum(x[1])[0] - cum.total / 2) <= 1e-13
+
+    def test_forward_inversion_makes_at_most_three_syntheses(self, monkeypatch):
+        synthesize = _spectral._synthesize
+        calls, per_inversion = [], []
+
+        def counting_synthesis(*args, **kwargs):
+            calls.append(1)
+            return synthesize(*args, **kwargs)
+
+        def counted_inversion(*args, **kwargs):
+            calls.clear()
+            x = invert_increasing(*args, **kwargs)
+            per_inversion.append(len(calls))
+            return x
+
+        monkeypatch.setattr(_spectral, "_synthesize", counting_synthesis)
+        monkeypatch.setattr(conformal, "invert_increasing", counted_inversion)
+        conformal.forward_operator(perturbed_disk(0.3), 2048)
+        assert len(per_inversion) == 1 and 1 <= per_inversion[0] <= 3
 
     def test_iteration_limit_raises(self):
         cum = positive_cumulative()
         targets = np.linspace(0.1, cum.total - 0.1, 257)
         with pytest.raises(ConvergenceError) as err:
-            invert_increasing(cum, targets, 0.0, PERIOD, tol=1e-13, max_iter=1)
+            invert_increasing(cum, targets, tol=1e-13, max_iter=1)
         assert err.value.iterations == 1
         assert err.value.tol == 1e-13
         assert err.value.residual > 1e-13
@@ -159,3 +180,39 @@ class TestInvertIncreasing:
     def test_error_is_exported_package_error(self):
         assert greenrecon.ConvergenceError is ConvergenceError
         assert issubclass(ConvergenceError, GreenreconError)
+
+
+def coarse_cumulative():
+    """The positive datum at n = 16, where the node-table seed is coarse."""
+    return positive_cumulative(16)
+
+
+def peaked_cumulative():
+    """exp(a cos t) with minimum 1e-3 of its maximum, at n = 64."""
+    t = 2 * np.pi * np.arange(64) / 64
+    return TrigInterpolant(np.exp(-0.5 * np.log(1e-3) * np.cos(t)), PERIOD).antiderivative()
+
+
+def touching_cumulative():
+    """1 - cos t vanishes at the node t = 0: targets next to it take the
+    linear guess instead of the node-table seed."""
+    t = 2 * np.pi * np.arange(16) / 16
+    return TrigInterpolant(1.0 - np.cos(t), PERIOD).antiderivative()
+
+
+@pytest.mark.parametrize("make", [coarse_cumulative, peaked_cumulative, touching_cumulative])
+class TestInversionFallback:
+    def test_every_residual_within_tol(self, make):
+        cum = make()
+        targets = np.linspace(0.0, cum.total, 1001)
+        x = invert_increasing(cum, targets)
+        tol = 64.0 * np.finfo(float).eps * max(1.0, cum.total)
+        assert np.max(np.abs(cum(x) - targets)) <= tol
+        assert np.all(np.diff(x) > 0)
+
+    def test_iteration_limit_raises(self, make):
+        cum = make()
+        targets = np.linspace(0.0, cum.total, 257)
+        with pytest.raises(ConvergenceError) as err:
+            invert_increasing(cum, targets, tol=1e-13, max_iter=1)
+        assert err.value.iterations == 1
