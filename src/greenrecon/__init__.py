@@ -14,7 +14,7 @@ from .conformal import (ConformalMap, arclength, eval_boundary, eval_fprime,
                         forward_operator, load_map, save_map)
 from .errors import (AliasingError, CompatibilityError, ConvergenceError,
                      DataFormatError, DegenerateMapError, GreenreconError,
-                     InvalidInputError)
+                     InvalidInputError, NotUnivalentError)
 from .geometry import (DomainBoundary, align_rotation, boundary_of,
                        hausdorff_discretization_bound, hausdorff_distance,
                        inradius_circumradius)
@@ -32,7 +32,7 @@ __all__ = [
     "AliasingError", "BoundaryFunction", "CompatibilityError", "ConformalMap",
     "ConstantsBundle", "ConvergenceError", "CumulativeMap", "DataFormatError",
     "DegenerateMapError", "DomainBoundary", "DomainSample", "GreenreconError",
-    "InvalidInputError",
+    "InvalidInputError", "NotUnivalentError",
     "ReconstructionResult", "SampledFunction", "StabilityReport",
     "align_rotation", "arclength", "boundary_of", "build_cumulative",
     "c_alpha", "check_theorem_disco", "check_theorem_lugua_hausdorff",

@@ -60,8 +60,7 @@ class BoundaryFunction:
             raise InvalidInputError("samples must be finite")
         if not self.L > 0:
             raise InvalidInputError("perimeter must be positive")
-        if not 0.0 < self.alpha <= 1.0:
-            raise InvalidInputError(f"alpha must lie in (0, 1], got {self.alpha}")
+        norms._check_alpha(self.alpha)
         object.__setattr__(self, "values", values)
         if self.derivative_values is not None:
             dv = np.asarray(self.derivative_values, dtype=float)

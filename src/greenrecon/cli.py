@@ -2,7 +2,9 @@
 
 Subcommands: ``forward``, ``invert``, ``roundtrip``, ``hausdorff``, ``check``
 (with a theorem selector) and ``sweep``.  Options may come from flags or from
-a key = value config file with one section per command; flags win.  All
+a key = value config file with one section per command; a config value is
+converted and checked by its flag's own type, choices and range rule, and
+flags win.  All
 numeric output is fixed-format with 17 significant digits so that reports are
 byte-reproducible; files are written to a temporary name and renamed on
 success.  Exit status: 0 when everything passed, 2 when a theorem check
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -27,125 +28,150 @@ from .errors import GreenreconError, InvalidInputError
 from .families import disk, parse_family
 from .geometry import (boundary_of, hausdorff_discretization_bound,
                        hausdorff_distance, inradius_circumradius, save_polyline)
+from .norms import _check_alpha
 from .reconstruct import reconstruct_fprime, roundtrip_error
 
 THEOREMS = ("raggi", "disco", "stab-gen", "lugua", "ultimo")
+_ALIGNMENTS = ("proof", "optimal")
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and per command its subparser and its options' actions by
+    dest: every default, type and choice is stated here once."""
     parser = argparse.ArgumentParser(
         prog="greenrecon",
         description="Forward boundary data of disk maps, inverse reconstruction, "
                     "and stability-inequality reports.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p):
+    def command(name, description, alpha=False, emit_plots=False):
+        p = sub.add_parser(name, help=description)
         p.add_argument("--config", help="key = value config file, one section per command")
-        p.add_argument("--n", type=int, default=None, help="grid size (power of two >= 64)")
-        p.add_argument("--out", default=None, help="output directory (default: .)")
+        actions = {}
+        commands[name] = (p, actions)
 
-    def alpha(p):
-        p.add_argument("--alpha", type=float, default=None, help="Holder exponent in (0, 1]")
+        def add(*flags, **kwargs):
+            action = p.add_argument(*flags, **kwargs)
+            actions[action.dest] = action
 
-    def emit_plots(p):
-        p.add_argument("--emit-plots", action="store_true", default=None,
-                       help="also write plain-data series for external plotting")
+        add("--n", type=int, default=512, help="grid size (power of two >= 64)")
+        add("--out", default=".", help="output directory (default: .)")
+        if alpha:
+            add("--alpha", type=float, default=0.5, help="Holder exponent in (0, 1]")
+        if emit_plots:
+            add("--emit-plots", action="store_true",
+                help="also write plain-data series for external plotting")
+        return add
 
-    p = sub.add_parser("forward", help="boundary datum of a map")
-    common(p)
-    alpha(p)
-    emit_plots(p)
-    p.add_argument("--map", default=None, help="map file")
+    add = command("forward", "boundary datum of a map", alpha=True, emit_plots=True)
+    add("--map", help="map file")
 
-    p = sub.add_parser("invert", help="reconstruct a map from a boundary datum")
-    common(p)
-    p.add_argument("--data", default=None, help="boundary data file")
-    p.add_argument("--zeta-o", default=None, help="interior base point as re,im")
-    p.add_argument("--zeta-b", default=None, help="boundary base point as re,im")
+    add = command("invert", "reconstruct a map from a boundary datum")
+    add("--data", help="boundary data file")
+    add("--zeta-o", default="0,0", help="interior base point as re,im")
+    add("--zeta-b", help="boundary base point as re,im")
 
-    p = sub.add_parser("roundtrip", help="forward then invert, report the gap")
-    common(p)
-    p.add_argument("--map", default=None)
-    p.add_argument("--alignment", choices=("proof", "optimal"), default=None)
+    add = command("roundtrip", "forward then invert, report the gap")
+    add("--map")
+    add("--alignment", choices=_ALIGNMENTS, default="proof")
 
-    p = sub.add_parser("hausdorff", help="Hausdorff distance of two map boundaries")
-    common(p)
-    p.add_argument("--map", default=None)
-    p.add_argument("--map2", default=None)
+    add = command("hausdorff", "Hausdorff distance of two map boundaries")
+    add("--map")
+    add("--map2")
 
-    p = sub.add_parser("check", help="run one stability-inequality check")
-    common(p)
-    alpha(p)
-    p.add_argument("--theorem", choices=THEOREMS, default=None)
-    p.add_argument("--map", default=None)
-    p.add_argument("--map2", default=None)
-    p.add_argument("--c", type=float, default=None,
-                   help="constant datum for the disk comparison (default: 1/L)")
-    p.add_argument("--alignment", choices=("proof", "optimal"), default=None)
+    add = command("check", "run one stability-inequality check", alpha=True)
+    add("--theorem", choices=THEOREMS)
+    add("--map")
+    add("--map2")
+    add("--c", type=float, help="constant datum for the disk comparison (default: 1/L)")
+    add("--alignment", choices=_ALIGNMENTS, default="proof")
     for name in ("m", "M0", "M1", "p", "P"):
-        p.add_argument(f"--{name}", type=float, default=None,
-                       help=f"hypothesis constant {name} (default: measured)")
+        add(f"--{name}", type=float, help=f"hypothesis constant {name} (default: measured)")
 
-    p = sub.add_parser("sweep", help="run checks across a perturbation family")
-    common(p)
-    alpha(p)
-    emit_plots(p)
-    p.add_argument("--family", default=None, help="'z+eps*z^k' or 'disk'")
-    p.add_argument("--eps", default=None, help="range start:stop:step")
-    p.add_argument("--theorem", choices=THEOREMS + ("all",), default=None)
-    p.add_argument("--alignment", choices=("proof", "optimal"), default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads (default: GREENRECON_JOBS or 1)")
-    return parser
+    add = command("sweep", "run checks across a perturbation family",
+                  alpha=True, emit_plots=True)
+    add("--family", help="'z+eps*z^k' or 'disk'")
+    add("--eps", help="range start:stop:step")
+    add("--theorem", choices=THEOREMS + ("all",))
+    add("--alignment", choices=_ALIGNMENTS, default="proof")
+    add("--jobs", type=int, default=1, help="worker threads (default: 1)")
+    return parser, commands
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file section named after the command."""
-    if not args.config:
-        return
-    path = Path(args.config)
+def _check_n(n: int, name: str) -> None:
+    if n < 64 or n & (n - 1):
+        raise InvalidInputError(f"{name} must be a power of two >= 64, got {n}")
+
+
+def _check_jobs(jobs: int, name: str) -> None:
+    if jobs < 1:
+        raise InvalidInputError(f"{name} must be at least 1, got {jobs}")
+
+
+# the range rule of each option that has one, by dest; ``name`` spells the
+# option in the error as it was given (a flag, or a config key)
+_RANGES = {"n": _check_n, "alpha": _check_alpha, "jobs": _check_jobs}
+
+
+def _read_config(path: Path, command: str, actions: dict) -> dict:
+    """The values of the config file section named after the command, by dest,
+    converted and range-checked as the same options given as flags are."""
     if not path.exists():
         raise InvalidInputError(f"config file {path} does not exist")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # '%' is a plain character
     parser.optionxform = str  # keys are case-sensitive: M0, M1, P vs p
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
+        errors = getattr(exc, "errors", None)  # a ParsingError lists its malformed lines
+        if errors:
+            line = errors[0][0]
+            text = path.read_text(encoding="utf-8").splitlines()[line - 1].strip()
+            raise InvalidInputError(f"{path}:{line}: malformed line {text!r}") from None
         line = getattr(exc, "lineno", 0) or 0
         raise InvalidInputError(f"{path}:{line}: {exc.message.splitlines()[0]}") from None
-    if not parser.has_section(args.command):
-        return
-    known = {k.replace("-", "_") for k in vars(args)} - {"config", "command"}
-    for key, value in parser.items(args.command):
-        attr = key.replace("-", "_").lstrip("_")
-        if attr not in known:
-            line_no = _find_config_line(path, args.command, key)
-            raise InvalidInputError(
-                f"{path}:{line_no}: unknown option {key!r} for command {args.command!r}")
-        if getattr(args, attr) is not None and getattr(args, attr) is not False:
-            continue  # flags override the file
+    if not parser.has_section(command):
+        return {}
+
+    def fail(key, message):
+        line = _find_config_line(path, command, key)
+        raise InvalidInputError(f"{path}:{line}: {message}")
+
+    values = {}
+    for key, text in parser.items(command):
+        action = actions.get(key.replace("-", "_").lstrip("_"))
+        if action is None:
+            fail(key, f"unknown option {key!r} for command {command!r}")
         try:
-            if attr in ("n", "jobs"):
-                parsed = int(value)
-            elif attr in ("alpha", "c", "m", "M0", "M1", "p", "P"):
-                parsed = float(value)
-            elif attr == "emit_plots":
-                parsed = value.strip().lower() in ("1", "true", "yes", "on")
-            else:
-                parsed = value
+            value = _convert(action, text)
         except ValueError:
-            line_no = _find_config_line(path, args.command, key)
-            raise InvalidInputError(
-                f"{path}:{line_no}: bad value {value!r} for {key!r}") from None
-        if attr == "jobs" and parsed < 1:
-            line_no = _find_config_line(path, args.command, key)
-            raise InvalidInputError(
-                f"{path}:{line_no}: {key} must be at least 1, got {value!r}")
-        setattr(args, attr, parsed)
+            fail(key, f"bad value {text!r} for {key!r}")
+        if action.dest in _RANGES:
+            try:
+                _RANGES[action.dest](value, key)
+            except InvalidInputError as exc:
+                fail(key, str(exc))
+        values[action.dest] = value
+    return values
+
+
+def _convert(action: argparse.Action, text: str):
+    """A config value as its flag's action reads it; ValueError where the
+    flag would be refused."""
+    words = configparser.ConfigParser.BOOLEAN_STATES
+    if action.nargs == 0:  # a store_true flag takes a boolean word
+        if text.lower() not in words:
+            raise ValueError(text)
+        return words[text.lower()]
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
 
 
 def _find_config_line(path: Path, section: str, key: str) -> int:
@@ -156,23 +182,6 @@ def _find_config_line(path: Path, section: str, key: str) -> int:
         elif current == section and line.replace(":", "=").split("=")[0].strip() == key:
             return i
     return 0
-
-
-def _resolve(args, name, default):
-    value = getattr(args, name, None)
-    return default if value is None or value is False else value
-
-
-def _check_n(n: int) -> int:
-    if n < 64 or n & (n - 1):
-        raise InvalidInputError(f"n must be a power of two >= 64, got {n}")
-    return n
-
-
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInputError(f"alpha must lie in (0, 1], got {alpha}")
-    return alpha
 
 
 def _parse_point(text: str, flag: str) -> complex:
@@ -204,19 +213,17 @@ def _plot_series(path: Path, header: str, columns) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_forward(args) -> int:
-    n = _check_n(_resolve(args, "n", 512))
-    alpha = _check_alpha(_resolve(args, "alpha", 0.5))
-    out = Path(_resolve(args, "out", "."))
+    n, out = args.n, Path(args.out)
     f = load_map(_require_file(args.map, "--map"))
     for warning in f.validate(n):
         print(f"warning: {warning}", file=sys.stderr)
-    phi = forward_operator(f, n, alpha=alpha)
+    phi = forward_operator(f, n, alpha=args.alpha)
     save_boundary_data(out / "datum.bdata", phi)
     cm = build_cumulative(phi)
     theta = cm.theta_nodes()
     _plot_series(out / "cumulative.csv", "s,theta", (phi.grid, theta))
     save_polyline(out / "polyline.csv", boundary_of(f, n))
-    if _resolve(args, "emit_plots", False):
+    if args.emit_plots:
         _plot_series(out / "fprime_abs.csv", "theta,fprime_abs",
                      (boundary_grid(n), np.abs(eval_fprime(f, n))))
         _plot_series(out / "datum_plot.csv", "s,phi", (phi.grid, phi.values))
@@ -224,15 +231,13 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    n = _check_n(_resolve(args, "n", 512))
-    out = Path(_resolve(args, "out", "."))
     phi = load_boundary_data(_require_file(args.data, "--data"))
-    zeta_o = _parse_point(_resolve(args, "zeta_o", None) or "0,0", "--zeta-o")
-    zeta_b_text = _resolve(args, "zeta_b", None)
-    if zeta_b_text is None:
+    zeta_o = _parse_point(args.zeta_o, "--zeta-o")
+    if args.zeta_b is None:
         raise InvalidInputError("missing required option --zeta-b")
-    zeta_b = _parse_point(zeta_b_text, "--zeta-b")
-    result = reconstruct_fprime(phi, zeta_o, zeta_b, n)
+    zeta_b = _parse_point(args.zeta_b, "--zeta-b")
+    result = reconstruct_fprime(phi, zeta_o, zeta_b, args.n)
+    out = Path(args.out)
     save_map(out / "reconstructed.map", result.map)
     report = [
         "name,value",
@@ -250,26 +255,22 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    n = _check_n(_resolve(args, "n", 512))
-    out = Path(_resolve(args, "out", "."))
-    alignment = _resolve(args, "alignment", "proof")
+    n = args.n
     f = load_map(_require_file(args.map, "--map"))
     sizes = [max(64, n // 4), max(64, n // 2), n]
     sizes = sorted(set(sizes))
     rows = ["n,error"]
     for size in sizes:
-        rows.append(f"{size},{_fmt(roundtrip_error(f, size, alignment=alignment))}")
-    _write_atomic(out / "roundtrip.csv", "\n".join(rows) + "\n")
+        rows.append(f"{size},{_fmt(roundtrip_error(f, size, alignment=args.alignment))}")
+    _write_atomic(Path(args.out) / "roundtrip.csv", "\n".join(rows) + "\n")
     return 0
 
 
 def _cmd_hausdorff(args) -> int:
-    n = _check_n(_resolve(args, "n", 512))
-    out = Path(_resolve(args, "out", "."))
     f1 = load_map(_require_file(args.map, "--map"))
     f2 = load_map(_require_file(args.map2, "--map2"))
-    b1 = boundary_of(f1, n)
-    b2 = boundary_of(f2, n)
+    b1 = boundary_of(f1, args.n)
+    b2 = boundary_of(f2, args.n)
     d = hausdorff_distance(b1, b2)
     bound = hausdorff_discretization_bound(b1, b2)
     rho1, big_r1 = inradius_circumradius(b1)
@@ -279,7 +280,7 @@ def _cmd_hausdorff(args) -> int:
             f"discretization_bound,{_fmt(bound)}",
             f"rho1,{_fmt(rho1)}", f"R1,{_fmt(big_r1)}",
             f"rho2,{_fmt(rho2)}", f"R2,{_fmt(big_r2)}"]
-    _write_atomic(out / "hausdorff.csv", "\n".join(rows) + "\n")
+    _write_atomic(Path(args.out) / "hausdorff.csv", "\n".join(rows) + "\n")
     return 0
 
 
@@ -311,21 +312,16 @@ def _run_checks(theorem: str, d, partner, alpha: float, alignment: str,
 
 
 def _cmd_check(args) -> int:
-    n = _check_n(_resolve(args, "n", 512))
-    alpha = _check_alpha(_resolve(args, "alpha", 0.5))
-    alignment = _resolve(args, "alignment", "proof")
-    out = Path(_resolve(args, "out", "."))
-    theorem = _resolve(args, "theorem", None)
-    if theorem is None:
+    if args.theorem is None:
         raise InvalidInputError("missing required option --theorem")
-    d = stability.DomainSample(load_map(_require_file(args.map, "--map")), n)
+    d = stability.DomainSample(load_map(_require_file(args.map, "--map")), args.n)
     f2 = disk()
-    if getattr(args, "map2", None):
+    if args.map2:
         f2 = load_map(_require_file(args.map2, "--map2"))
     overrides = {k: getattr(args, k) for k in ("m", "M0", "M1", "p", "P")}
-    reports = _run_checks(theorem, d, stability.DomainSample(f2, n), alpha, alignment,
-                          overrides, getattr(args, "c", None))
-    _write_atomic(out / "report.csv", stability.reports_to_csv(reports))
+    reports = _run_checks(args.theorem, d, stability.DomainSample(f2, args.n), args.alpha,
+                          args.alignment, overrides, args.c)
+    _write_atomic(Path(args.out) / "report.csv", stability.reports_to_csv(reports))
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.theorem}/{r.row}: lhs={r.lhs:.6g} K*rhs={r.product:.6g} "
@@ -347,65 +343,28 @@ def _parse_eps_range(text: str) -> list[float]:
     return [v for v in values if v <= stop + 1e-12]
 
 
-def _sweep_task(family, eps: float, theorems, alpha: float, alignment: str,
-                overrides: dict, partner):
-    d = stability.DomainSample(family(eps), partner.n)
-    return [r for theorem in theorems
-            for r in _run_checks(theorem, d, partner, alpha, alignment, overrides, None)]
-
-
 def _cmd_sweep(args) -> int:
-    n = _check_n(_resolve(args, "n", 512))
-    alpha = _check_alpha(_resolve(args, "alpha", 0.5))
-    alignment = _resolve(args, "alignment", "proof")
-    out = Path(_resolve(args, "out", "."))
-    family_text = _resolve(args, "family", None)
-    eps_text = _resolve(args, "eps", None)
-    theorem = _resolve(args, "theorem", None)
-    if not (family_text and eps_text and theorem):
+    if not (args.family and args.eps and args.theorem):
         raise InvalidInputError("sweep needs --family, --eps and --theorem")
-    family = parse_family(family_text)
-    eps_values = _parse_eps_range(eps_text)
-    theorems = list(THEOREMS) if theorem == "all" else [theorem]
-    jobs = _resolve(args, "jobs", None)
-    if jobs is None:
-        text = os.environ.get("GREENRECON_JOBS", "1")
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise InvalidInputError(
-                f"GREENRECON_JOBS must be an integer, got {text!r}") from None
-        if jobs < 1:
-            raise InvalidInputError(f"GREENRECON_JOBS must be at least 1, got {text!r}")
-    elif jobs < 1:
-        raise InvalidInputError("--jobs must be at least 1")
-    overrides = {k: getattr(args, k, None) for k in ("m", "M0", "M1", "p", "P")}
-    partner = stability.DomainSample(disk(), n)  # the pair theorems' partner at every eps
+    family = parse_family(args.family)
+    eps_values = _parse_eps_range(args.eps)
+    theorems = list(THEOREMS) if args.theorem == "all" else [args.theorem]
+    partner = stability.DomainSample(disk(), args.n)  # the pair theorems' partner at every eps
+    if set(theorems) & {"stab-gen", "lugua", "ultimo"}:
+        partner.fill(args.alpha)  # before the threads that share it start
 
-    results: dict[float, list] = {}
-    if jobs == 1:
-        for eps in eps_values:
-            results[eps] = _sweep_task(family, eps, theorems, alpha, alignment,
-                                       overrides, partner)
-    else:
-        if set(theorems) & {"stab-gen", "lugua", "ultimo"}:
-            partner.fill(alpha)  # before the threads that share it start
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {eps: pool.submit(_sweep_task, family, eps, theorems,
-                                        alpha, alignment, overrides, partner)
-                       for eps in eps_values}
-            for eps in eps_values:
-                results[eps] = futures[eps].result()
+    def reports_at(eps):
+        d = stability.DomainSample(family(eps), args.n)
+        return [r for theorem in theorems
+                for r in _run_checks(theorem, d, partner, args.alpha, args.alignment, {}, None)]
 
-    lines = [stability.CSV_HEADER]
-    all_pass = True
-    for eps in eps_values:  # deterministic order, independent of scheduling
-        for r in results[eps]:
-            lines.append(r.csv_row())
-            all_pass = all_pass and r.passed
-    _write_atomic(out / "sweep.csv", "\n".join(lines) + "\n")
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(reports_at, eps_values))  # in eps order, whatever the scheduling
 
-    if _resolve(args, "emit_plots", False):
+    reports = [r for rows in results for r in rows]
+    out = Path(args.out)
+    _write_atomic(out / "sweep.csv", stability.reports_to_csv(reports))
+    if args.emit_plots:
         main_rows = {"raggi": ("raggi", "radii_gap"),
                      "disco": ("disco", "map_gap_vs_disk"),
                      "stab-gen": ("stab_gen", "map_gap"),
@@ -414,14 +373,15 @@ def _cmd_sweep(args) -> int:
         for theorem_name in theorems:
             want_theorem, want_row = main_rows[theorem_name]
             xs, ys = [], []
-            for eps in eps_values:
-                for r in results[eps]:
+            for eps, rows in zip(eps_values, results):
+                for r in rows:
                     if r.theorem == want_theorem and r.row == want_row:
                         xs.append(eps)
                         ys.append(r.ratio)
             if xs:
                 _plot_series(out / f"ratio_{want_theorem}.csv", "eps,ratio", (xs, ys))
-    print(f"sweep: {len(lines) - 1} rows, "
+    all_pass = all(r.passed for r in reports)
+    print(f"sweep: {len(reports)} rows, "
           f"{'all pass' if all_pass else 'FAILURES present'}")
     return 0 if all_pass else 2
 
@@ -437,15 +397,18 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            subparser, actions = commands[args.command]
+            subparser.set_defaults(**_read_config(Path(args.config), args.command, actions))
+            args = parser.parse_args(argv)  # flags override the file's defaults
+        for dest, check in _RANGES.items():
+            if dest in vars(args):
+                check(getattr(args, dest), "--" + dest)
         return _HANDLERS[args.command](args)
-    except GreenreconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GreenreconError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

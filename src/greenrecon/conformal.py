@@ -20,8 +20,9 @@ from scipy.spatial import cKDTree
 
 from ._spectral import (TrigInterpolant, _power_sum, derivative_samples, invert_increasing,
                         uniform_grid)
-from .boundary import BoundaryFunction, _write_atomic
-from .errors import AliasingError, DataFormatError, DegenerateMapError, InvalidInputError
+from .boundary import COMPATIBILITY_TOL, BoundaryFunction, _write_atomic
+from .errors import (AliasingError, CompatibilityError, DataFormatError, DegenerateMapError,
+                     InvalidInputError)
 
 TWO_PI = 2.0 * np.pi
 DEGENERACY_TOL = 1e-12
@@ -35,7 +36,8 @@ class ConformalMap:
     the boundary base point f(1) within 1e-8.  Nonvanishing of f' on the
     boundary and simplicity of the boundary curve are univalence proxies
     checked by :meth:`validate`, which returns warnings rather than raising,
-    because nearly degenerate maps are legitimate test inputs.
+    because nearly degenerate maps are legitimate test inputs; the stability
+    checks' ``DomainSample`` refuses a map that fails them.
     """
 
     coefficients: np.ndarray
@@ -106,21 +108,33 @@ class ConformalMap:
         return ConformalMap(coeffs)
 
     def validate(self, n: int = 512) -> list[str]:
-        """Univalence proxy: nonvanishing f' on a dense boundary grid and a
-        simple boundary polyline. Returns human-readable warnings."""
+        """Univalence proxy: nonvanishing f' on a dense boundary grid and the
+        two tests of :func:`_univalence_faults`. Returns human-readable warnings."""
         warnings = []
         m = max(n, 2 * self.degree)
-        fp = _on_nodes(self.fprime_coefficients(), m)
-        smallest = float(np.min(np.abs(fp)))
+        smallest = float(np.min(np.abs(_on_nodes(self.fprime_coefficients(), m))))
         if smallest < 1e-6:
             warnings.append(f"|f'| as small as {smallest:.3g} on the boundary grid")
-        if smallest > 0:
-            winding = _total_turning(fp, 0) / TWO_PI
-            if abs(winding) > 1e-6:
-                warnings.append(f"argument of f' winds {winding:.3g} times (expected 0)")
-        if not _polyline_is_simple(_on_nodes(self.coefficients, m)):
-            warnings.append("boundary polyline self-intersects on the test grid")
-        return warnings
+        return warnings + _univalence_faults(self, m)
+
+
+def _univalence_faults(f: ConformalMap, n: int) -> list[str]:
+    """The univalence tests f fails at the n-th roots of unity (none: passes).
+
+    f' must not wind on the circle: it then has no zero in the disk (argument
+    principle).  The boundary polyline must be simple: it is the discrete
+    proxy for injectivity on the circle, which makes f univalent in the disk
+    (Darboux's theorem; Duren, *Univalent Functions*, 1983).
+    """
+    faults = []
+    fp = _on_nodes(f.fprime_coefficients(), n)
+    if np.min(np.abs(fp)) > 0:
+        winding = _total_turning(fp, 0) / TWO_PI
+        if abs(winding) > 1e-6:
+            faults.append(f"argument of f' winds {winding:.3g} times (expected 0)")
+    if not _polyline_is_simple(_on_nodes(f.coefficients, n)):
+        faults.append("boundary polyline self-intersects on the test grid")
+    return faults
 
 
 def _total_turning(points: np.ndarray, center: complex) -> float:
@@ -136,11 +150,19 @@ def _total_turning(points: np.ndarray, center: complex) -> float:
 def _polyline_is_simple(points: np.ndarray, chunk: int = 1 << 16) -> bool:
     """Segment intersection test for the closed polyline.
 
+    A polyline whose vertices turn about their mean counterclockwise by less
+    than pi at every edge, and once in total, is simple: each edge stays in
+    its own angular sector.  Any other polyline takes the exact pair test.
     Segments that cross have start points at most the sum of their lengths
     apart, so only start points within twice the longest edge (a KD-tree
     query, widened by a rounding margin) are paired, and each pair is tested
     in both orders, as a scan of all ordered pairs would test it.
     """
+    rel = points - np.mean(points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turns = np.angle(np.roll(rel, -1) / rel)
+    if np.all((turns > 0) & (turns < np.pi)) and np.sum(turns) < 3 * np.pi:
+        return True
     n = points.size
     p = np.column_stack([points.real, points.imag])
     d = np.roll(p, -1, axis=0) - p
@@ -237,7 +259,9 @@ def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFun
     The parametric pairs (s(theta), 1/(2*pi*|f'(e^{i theta})|)) are resampled
     in s by inverting the monotone arclength map; the datum value and its
     arclength derivative are then evaluated through the interpolant of |f'|,
-    which keeps the compatibility identities spectrally accurate.
+    which keeps the compatibility identities spectrally accurate.  A datum
+    whose integral misses one by more than ``COMPATIBILITY_TOL`` is
+    under-resolved at this n and raises :class:`CompatibilityError`.
     """
     interp, cumulative = _speed_machinery(f, n)
     L = cumulative.total
@@ -248,7 +272,10 @@ def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFun
     # phi'(s) = d/d theta [1/(2 pi |f'|)] * d theta/d s, d theta/d s = 1/|f'|
     dspeed = interp.derivative_at(theta)
     derivative = -dspeed / (TWO_PI * speed ** 3)
-    return BoundaryFunction(values, L, alpha=alpha, derivative_values=derivative)
+    phi = BoundaryFunction(values, L, alpha=alpha, derivative_values=derivative)
+    if phi.compatibility_residual() > COMPATIBILITY_TOL:
+        raise CompatibilityError(phi.integral(), COMPATIBILITY_TOL, n)
+    return phi
 
 
 def pushforward_datum(f: ConformalMap, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -44,6 +44,11 @@ class DegenerateMapError(GreenreconError):
     """The derivative of a map vanishes (or nearly vanishes) on the boundary grid."""
 
 
+class NotUnivalentError(InvalidInputError):
+    """A map fails a univalence test on its boundary grid, so its image is
+    not known to be a domain bounded by a Jordan curve."""
+
+
 class AliasingError(InvalidInputError):
     """Requested grid is too coarse for the polynomial degree of the map."""
 

@@ -30,6 +30,14 @@ _MARGIN = 16 * np.finfo(float).eps
 _BATCH = 16384
 
 
+def _check_alpha(alpha: float, name: str = "alpha") -> float:
+    """The Holder exponent of every seminorm, datum and kernel constant lies
+    in (0, 1]; ``name`` spells it in the error."""
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidInputError(f"{name} must lie in (0, 1], got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """A real function known at finitely many points of an interval.
@@ -193,9 +201,7 @@ def holder_seminorm(f: SampledFunction, alpha: float) -> float:
     refinement.  It equals a full pair scan to the bit; the block-bound scan
     that computes it is described in `_pairwise_max_quotient`.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInputError(f"alpha must lie in (0, 1], got {alpha}")
-    return _pairwise_max_quotient(f, float(alpha))
+    return _pairwise_max_quotient(f, float(_check_alpha(alpha)))
 
 
 def holder_norm(f: SampledFunction, k: int, alpha: float,

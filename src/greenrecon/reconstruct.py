@@ -9,7 +9,7 @@ evaluated through Fourier coefficients, which diagonalize the boundary kernel
     (1/2 pi) * integral (e^{it}+z)/(e^{it}-z) g(t) dt = c_0 + 2 sum_{k>=1} c_k z^k,
 
 with c_k the Fourier coefficients of g.  Exponentiating the truncated series
-with exact power-series algebra gives f' up to a rotation e^{i gamma}; gamma
+at the boundary nodes gives f' up to a rotation e^{i gamma}; gamma
 is fixed by requiring the radial integral of f' on [0, 1] to reach from the
 interior base point to the boundary base point.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryFunction, build_cumulative
-from .conformal import ConformalMap, boundary_grid, c1_gap
+from .conformal import ConformalMap, _on_nodes, boundary_grid, c1_gap
 from .errors import InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -48,20 +48,15 @@ class ReconstructionResult:
 
 
 def exp_series(exponent: np.ndarray, degree: int) -> np.ndarray:
-    """Coefficients of exp(g(z)) truncated at ``degree``, for a power series g.
+    """Coefficients 0..degree of exp(g(z)) for a power series g, exponentiated
+    at the 2*(degree + 1)-th roots of unity.
 
-    Uses the derivative recurrence m*b_m = sum_{j=1..m} j*g_j*b_{m-j}, which is
-    exact algebra at the truncation order (no sampling error beyond the
-    input's own truncation).
+    Coefficient k also collects those of order k + 2*(degree + 1)*j (aliasing),
+    so the result is exp(g)'s Taylor coefficient to rounding when exp(g) is
+    resolved on that grid, as the analytic completion of a resolved datum is.
     """
-    g = np.zeros(degree + 1, dtype=complex)
-    g[: min(exponent.size, degree + 1)] = exponent[: degree + 1]
-    b = np.zeros(degree + 1, dtype=complex)
-    b[0] = np.exp(g[0])
-    jg = np.arange(degree + 1) * g
-    for m in range(1, degree + 1):
-        b[m] = np.dot(jg[1:m + 1], b[m - 1::-1][:m]) / m
-    return b
+    n = 2 * (degree + 1)
+    return np.fft.fft(np.exp(_on_nodes(exponent[:n], n)))[: degree + 1] / n
 
 
 def integrate_series(fprime_coefficients, zeta_o: complex) -> ConformalMap:
@@ -79,7 +74,7 @@ def reconstruct_fprime(phi: BoundaryFunction, zeta_o: complex, zeta_b: complex,
 
     Steps: build the inverse cumulative map; push the datum to the circle;
     expand the boundary log-modulus in Fourier modes; sum the analytic
-    completion as a power series; exponentiate with the series recurrence
+    completion as a power series; exponentiate it at the n boundary nodes
     (truncating f' at degree n/2 - 1 so the integrated map has degree n/2);
     rotate so the radial integral matches zeta_b - zeta_o; antidifferentiate.
     """

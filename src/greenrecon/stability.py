@@ -34,9 +34,9 @@ from scipy.integrate import quad
 from . import norms
 from ._spectral import trig_sup_abs
 from .boundary import BoundaryFunction, rescale_to_common_interval
-from .conformal import (ConformalMap, _check_grid, c1_gap, forward_operator,
-                        pushforward_datum)
-from .errors import InvalidInputError
+from .conformal import (ConformalMap, _check_grid, _univalence_faults, c1_gap,
+                        forward_operator, pushforward_datum)
+from .errors import InvalidInputError, NotUnivalentError
 from .families import disk_for_constant
 from .geometry import (DomainBoundary, align_rotation, boundary_of,
                        hausdorff_distance, inradius_circumradius,
@@ -73,9 +73,7 @@ def c_alpha(alpha: float, epsabs: float = 1e-13) -> float:
 
     Finite for every a in (0, 1]; at a = 1 it equals ln(2)/pi.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInputError(f"alpha must lie in (0, 1], got {alpha}")
-    return _c_alpha_cached(float(alpha), float(epsabs))
+    return _c_alpha_cached(float(norms._check_alpha(alpha)), float(epsabs))
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +267,11 @@ class DomainSample:
     The map is stored in the canonical frame (f'(0) real positive): every
     reported quantity is rotation-invariant, and the frame makes the float
     path independent of the input's orientation.  A grid too coarse for the
-    map is rejected here.  The boundary datum, the circle data (psi, psi')
-    read off the map, the boundary polyline with its arclength tags and the
-    datum's measured Holder norms (per alpha) are computed on first use and
-    kept, so checks that share a sample share them.  The cache takes no
+    map, and a map that fails a univalence test at this n (so that its image
+    is not known to be a domain), are rejected here.  The boundary datum, the
+    circle data (psi, psi') read off the map, the boundary polyline with its
+    arclength tags and the datum's measured Holder norms (per alpha) are
+    computed on first use and kept, so checks that share a sample share them.  The cache takes no
     lock: a sample shared by threads must be filled (:meth:`fill`) before
     they start.
     """
@@ -284,6 +283,10 @@ class DomainSample:
     def __post_init__(self):
         object.__setattr__(self, "f", self.f.canonical())
         _check_grid(self.f, self.n)
+        faults = _univalence_faults(self.f, self.n)
+        if faults:
+            raise NotUnivalentError(
+                f"map is not univalent at n = {self.n}: {'; '.join(faults)}")
 
     def _cached(self, key, compute):
         if key not in self._cache:

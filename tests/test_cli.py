@@ -5,9 +5,9 @@ from collections import Counter
 
 import pytest
 
-from greenrecon import stability
+from greenrecon import cli, stability
 from greenrecon.boundary import load_boundary_data
-from greenrecon.cli import _apply_config, _build_parser, main
+from greenrecon.cli import main
 from greenrecon.conformal import load_map, save_map
 from greenrecon.families import disk, perturbed_disk
 
@@ -177,12 +177,14 @@ class TestConfigFile:
         assert main(["check", "--config", str(cfg)]) == 1
         assert "run.cfg:4" in capsys.readouterr().err
 
-    def test_keys_are_case_sensitive(self, tmp_path, disk_map):
+    def test_keys_are_case_sensitive(self, tmp_path, disk_map, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[check]\ntheorem = ultimo\nmap = {disk_map}\n"
                        "M0 = 5\nM1 = 6\nP = 100\np = 0.5\n")
-        args = _build_parser().parse_args(["check", "--config", str(cfg)])
-        _apply_config(args)
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, "check", lambda args: seen.append(args) or 0)
+        assert main(["check", "--config", str(cfg)]) == 0
+        args, = seen
         assert (args.M0, args.M1, args.P, args.p) == (5.0, 6.0, 100.0, 0.5)
         assert args.m is None
 
@@ -197,6 +199,42 @@ class TestConfigFile:
         assert main(["hausdorff", "--config", str(cfg)]) == 1
         assert f"{cfg}:4: unknown option 'emit-plots' for command 'hausdorff'" \
             in capsys.readouterr().err
+
+    def test_percent_in_a_value_is_read_literally(self, tmp_path, disk_map):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[check]\ntheorem = raggi\nmap = {disk_map}\nn = 128\n"
+                       f"out = {tmp_path / 'runs%1'}\n")
+        assert main(["check", "--config", str(cfg)]) == 0
+        assert (tmp_path / "runs%1" / "report.csv").exists()
+
+    def test_malformed_line_names_its_own_line(self, tmp_path, disk_map, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[check]\ntheorem = raggi\nmap\nout = {tmp_path / 'o'}\n")
+        assert main(["check", "--config", str(cfg), "--map", str(disk_map)]) == 1
+        assert f"{cfg}:3: malformed line 'map'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["emit-plots = maybe", "alignment = Optimal",
+                                      "theorem = Raggi", "n = 100", "alpha = 0",
+                                      "alpha = 1.5", "jobs = 1.5"])
+    def test_refused_value_exits_before_any_work(self, tmp_path, line, capsys):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "o"
+        cfg.write_text(f"[sweep]\nfamily = z+eps*z^2\neps = 0.1:0.1:0.1\n{line}\n"
+                       f"out = {out}\n")
+        argv = ["sweep", "--config", str(cfg)]
+        assert main(argv + (["--theorem", "raggi"] if "theorem" not in line else [])) == 1
+        assert f"{cfg}:4: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_wins_over_a_config_boolean(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "o"
+        cfg.write_text(f"[sweep]\nfamily = z+eps*z^2\neps = 0.1:0.1:0.1\ntheorem = raggi\n"
+                       f"n = 64\nemit-plots = false\nout = {out}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert not (out / "ratio_raggi.csv").exists()
+        assert main(["sweep", "--config", str(cfg), "--emit-plots"]) == 0
+        assert (out / "ratio_raggi.csv").exists()
 
     def test_bad_value_line_is_the_keys_own(self, tmp_path, disk_map, capsys):
         cfg = tmp_path / "run.cfg"
@@ -234,29 +272,9 @@ class TestSweep:
         assert main(args + ["--out", str(out2), "--jobs", "8"]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
-    def test_env_var_default_jobs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GREENRECON_JOBS", "2")
-        out = tmp_path / "env"
-        assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.1:0.1",
-                     "--theorem", "raggi", "--alpha", "0.5", "--n", "128",
-                     "--out", str(out)]) == 0
-
-    def test_non_integer_env_jobs_is_input_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GREENRECON_JOBS", "two")
-        assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.1:0.1",
-                     "--theorem", "raggi", "--n", "128",
-                     "--out", str(tmp_path / "x")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "GREENRECON_JOBS" in err and "'two'" in err
-
-    def test_zero_env_jobs_names_the_variable(self, tmp_path, monkeypatch, capsys):
+    def test_zero_jobs_flag_is_input_error(self, tmp_path, capsys):
         argv = ["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.1:0.1",
                 "--theorem", "raggi", "--n", "128", "--out", str(tmp_path / "x")]
-        monkeypatch.setenv("GREENRECON_JOBS", "0")
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "GREENRECON_JOBS" in err and "'0'" in err and "--jobs" not in err
-        monkeypatch.delenv("GREENRECON_JOBS")
         assert main(argv + ["--jobs", "0"]) == 1
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
@@ -267,7 +285,7 @@ class TestSweep:
                      "--eps", "0.1:0.1:0.1", "--theorem", "raggi", "--n", "128",
                      "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        assert f"{cfg}:2: jobs must be at least 1, got '0'" in err and "--jobs" not in err
+        assert f"{cfg}:2: jobs must be at least 1, got 0" in err and "--jobs" not in err
 
     def test_zero_alpha_flag_is_rejected(self, tmp_path, capsys):
         # a zero flag is a given value, not an absent one that takes the default
@@ -275,6 +293,22 @@ class TestSweep:
                      "--theorem", "raggi", "--n", "128", "--alpha", "0",
                      "--out", str(tmp_path / "x")]) == 1
         assert "alpha must lie in (0, 1], got 0.0" in capsys.readouterr().err
+
+    def test_non_domains_are_refused(self, tmp_path, capsys):
+        # z + eps z^2 is not univalent for eps >= 1/2
+        assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.6:0.8:0.2",
+                     "--theorem", "raggi", "--n", "512",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "not univalent at n = 512" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "sweep.csv").exists()
+
+    def test_unresolved_data_are_refused(self, tmp_path, capsys):
+        # eps = 0.40 is resolved at n = 512, eps = 0.44 is not
+        assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.40:0.48:0.04",
+                     "--theorem", "raggi", "--n", "512",
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "n = 512 samples" in err and "under-resolved" in err
 
     def test_bad_eps_range(self, tmp_path):
         assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1-0.2",

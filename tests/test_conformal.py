@@ -9,7 +9,7 @@ from greenrecon.conformal import (ConformalMap, _on_nodes, _polyline_is_simple,
                                   _total_turning, arclength, boundary_grid, c1_gap,
                                   eval_boundary, eval_fprime, forward_operator, load_map,
                                   save_map)
-from greenrecon.errors import (AliasingError, DataFormatError,
+from greenrecon.errors import (AliasingError, CompatibilityError, DataFormatError,
                                DegenerateMapError, InvalidInputError)
 from greenrecon.families import (disk, disk_for_constant, equal_perimeter_pair,
                                  fourier_disk, parse_family, perturbed_disk)
@@ -286,6 +286,14 @@ class TestArclength:
 
 
 class TestForwardOperator:
+    def test_under_resolved_datum_refused_where_it_is_made(self):
+        # |integral - 1| of z + 0.44 z^2 is about 1e-4 at n = 512 and 1e-11 at 2048
+        with pytest.raises(CompatibilityError) as err:
+            forward_operator(perturbed_disk(0.44), 512)
+        assert err.value.n == 512 and "n = 512 samples" in str(err.value)
+        phi = forward_operator(perturbed_disk(0.44), 2048)
+        assert phi.compatibility_residual() <= 1e-8
+
     def test_unit_disk_constant_datum(self):
         phi = forward_operator(ConformalMap([0, 1.0]), 256)
         assert phi.L == pytest.approx(TWO_PI, abs=1e-13)

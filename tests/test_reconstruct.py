@@ -17,6 +17,20 @@ def constant_datum(C, n=64):
     return BoundaryFunction(np.full(n, C), 1.0 / C)
 
 
+def recurrence_exp_series(exponent, degree):
+    """Oracle: coefficients of exp(g) truncated at ``degree`` by the derivative
+    recurrence m*b_m = sum_{j=1..m} j*g_j*b_{m-j}, exact algebra at the
+    truncation order in O(degree^2) operations."""
+    g = np.zeros(degree + 1, dtype=complex)
+    g[: min(exponent.size, degree + 1)] = exponent[: degree + 1]
+    b = np.zeros(degree + 1, dtype=complex)
+    b[0] = np.exp(g[0])
+    jg = np.arange(degree + 1) * g
+    for m in range(1, degree + 1):
+        b[m] = np.dot(jg[1:m + 1], b[m - 1::-1][:m]) / m
+    return b
+
+
 class TestExpSeries:
     def test_single_mode_taylor(self):
         c = 0.3 - 0.2j
@@ -25,7 +39,8 @@ class TestExpSeries:
         assert np.allclose(out, expected, atol=1e-15)
 
     def test_against_taylor_composition_oracle(self):
-        # brute-force oracle: sum g^j / j! by repeated polynomial products
+        # brute-force oracle of the recurrence oracle: sum g^j / j! by repeated
+        # polynomial products (this exponent is not resolved on 22 nodes)
         rng = np.random.default_rng(2)
         g = rng.normal(size=6) * 0.3 + 1j * rng.normal(size=6) * 0.3
         degree = 10
@@ -36,7 +51,19 @@ class TestExpSeries:
         for j in range(1, 40):
             term = np.convolve(term, g)[: degree + 1] / j
             acc += term
-        assert np.allclose(exp_series(g, degree), acc, atol=1e-12)
+        assert np.allclose(recurrence_exp_series(g, degree), acc, atol=1e-12)
+
+    @pytest.mark.parametrize("half", [8, 64, 1024])
+    def test_nodes_agree_with_the_recurrence_on_decaying_exponents(self, half):
+        # exponents whose coefficients fall to rounding by degree half, as the
+        # analytic completion of a resolved datum does
+        rng = np.random.default_rng(half)
+        k = np.arange(half)
+        for _ in range(5):
+            rho = 10.0 ** (-rng.uniform(16.0, 30.0) / half)
+            g = 0.5 * (rng.normal(size=half) + 1j * rng.normal(size=half)) * rho ** k
+            diff = exp_series(g, half - 1) - recurrence_exp_series(g, half - 1)
+            assert np.max(np.abs(diff)) <= 1e-13
 
 
 class TestIntegrateSeries:

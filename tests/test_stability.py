@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from greenrecon import boundary, norms, stability
 from greenrecon._spectral import invert_increasing
 from greenrecon.conformal import forward_operator
-from greenrecon.errors import AliasingError, InvalidInputError
+from greenrecon.errors import AliasingError, InvalidInputError, NotUnivalentError
 from greenrecon.families import disk, disk_for_constant, equal_perimeter_pair, perturbed_disk
 from greenrecon.stability import (ConstantsBundle, DomainSample, StabilityReport,
                                   c_alpha, check_theorem_disco,
@@ -147,6 +147,17 @@ class TestReportMechanics:
 
 
 class TestDomainSample:
+    def test_non_univalent_map_refused(self):
+        # f' = 1 + 1.2 z vanishes in the disk and the boundary curve loops
+        with pytest.raises(NotUnivalentError) as err:
+            DomainSample(perturbed_disk(0.6), 256)
+        message = str(err.value)
+        assert "n = 256" in message and "winds" in message and "self-intersects" in message
+
+    def test_univalent_map_near_the_limit_accepted(self):
+        # z + eps z^2 is univalent for eps < 1/2
+        assert DomainSample(perturbed_disk(0.49), 4096).n == 4096
+
     def test_map_stored_in_canonical_frame(self):
         d = DomainSample(perturbed_disk(0.1).rotated(2.0), 128)
         a1 = complex(d.f.coefficients[1])
