@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 from .boundary import _write_atomic
 from .conformal import (ConformalMap, _total_turning, arclength, boundary_grid,
                         eval_boundary)
-from .errors import InvalidInputError
+from .errors import ConvergenceError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
 # how far below the largest KD-tree distance a point may still hold the
@@ -29,10 +29,14 @@ _SQ_RTOL = 1e-12
 _SQ_ATOL = np.finfo(float).tiny
 # the free-center disks scale coordinates by a power of two so that the
 # largest magnitude lies in [2^(lo-1), 2^hi): below, their absolute
-# tolerances (Welzl's 1e-12 slack, Nelder-Mead's xatol and fatol, the 1e-300
-# floors) would swamp the domain; above, squares and the circumcircle's cubic
-# terms would overflow.  Coordinates already in range are left as they are.
+# tolerances (the enclosing circle's cover slack, Nelder-Mead's xatol and
+# fatol, the 1e-300 floors) would swamp the domain; above, squares and the
+# circumcircle's cubic terms would overflow.  Coordinates already in range are
+# left as they are.
 _COORD_RANGE = (-3, 256)
+# a point lies in a circle of radius r when its distance to the center is at
+# most r * (1 + _COVER_SLACK) + _COVER_SLACK
+_COVER_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -210,58 +214,101 @@ def _ldexp(z, exponent: int):
     return np.ldexp(np.real(z), exponent) + 1j * np.ldexp(np.imag(z), exponent)
 
 
-def smallest_enclosing_circle(points: np.ndarray) -> tuple[complex, float]:
-    """Smallest circle containing all points (Welzl's move-to-front method,
-    deterministic shuffle).  Coordinates are scaled by a power of two into
-    `_COORD_RANGE` and the circle scaled back, both exact."""
-    points = np.asarray(points, dtype=complex)
-    shift = _coordinate_shift(points)
-    pts = [complex(p) for p in _ldexp(points, -shift)]
-    rng = np.random.default_rng(20260808)
-    order = rng.permutation(len(pts))
-    shuffled = [pts[i] for i in order]
+def _circle_two(a: complex, b: complex) -> tuple[complex, float]:
+    center = 0.5 * (a + b)
+    return center, abs(a - center)
 
-    def circle_two(a, b):
-        center = 0.5 * (a + b)
-        return center, abs(a - center)
 
-    def circumcircle(a, b, c):
-        ax, ay = a.real, a.imag
-        bx, by = b.real, b.imag
-        cx, cy = c.real, c.imag
-        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-        if abs(d) < 1e-300:
-            return None
-        ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-              + (cx * cx + cy * cy) * (ay - by)) / d
-        uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-              + (cx * cx + cy * cy) * (bx - ax)) / d
-        center = complex(ux, uy)
-        return center, abs(a - center)
+def _circumcircle(a: complex, b: complex, c: complex) -> tuple[complex, float] | None:
+    ax, ay = a.real, a.imag
+    bx, by = b.real, b.imag
+    cx, cy = c.real, c.imag
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    if abs(d) < 1e-300:
+        return None
+    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
+          + (cx * cx + cy * cy) * (ay - by)) / d
+    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
+          + (cx * cx + cy * cy) * (bx - ax)) / d
+    center = complex(ux, uy)
+    return center, abs(a - center)
 
-    def covers(circle, p, slack=1e-12):
-        center, r = circle
-        return abs(p - center) <= r * (1 + slack) + slack
 
-    circle = (shuffled[0], 0.0)
-    for i, p in enumerate(shuffled):
-        if covers(circle, p):
+def _covers(circle: tuple[complex, float], p: complex) -> bool:
+    center, r = circle
+    return abs(p - center) <= r * (1.0 + _COVER_SLACK) + _COVER_SLACK
+
+
+def _support_circle(pts: np.ndarray, support: list[int]
+                    ) -> tuple[tuple[complex, float], list[int]]:
+    """Smallest circle of the few points ``pts[support]`` (``support`` in
+    ascending order) by the plain incremental loop: a point outside the
+    circle of the points before it lies on the boundary of their circle with
+    it.  Returns the circle and the ascending positions of the points it was
+    computed from.  Each formula takes its points later position first, as
+    the same loop over all points does.
+    """
+    z = [complex(pts[i]) for i in support]
+    circle, used = (z[0], 0.0), support[:1]
+    for i, p in enumerate(z):
+        if _covers(circle, p):
             continue
-        circle = (p, 0.0)
+        circle, used = (p, 0.0), [support[i]]
         for j in range(i):
-            q = shuffled[j]
-            if covers(circle, q):
+            if _covers(circle, z[j]):
                 continue
-            circle = circle_two(p, q)
+            circle, used = _circle_two(p, z[j]), [support[j], support[i]]
             for k in range(j):
-                r = shuffled[k]
-                if covers(circle, r):
+                if _covers(circle, z[k]):
                     continue
-                candidate = circumcircle(p, q, r)
+                candidate = _circumcircle(p, z[j], z[k])
                 if candidate is not None:
-                    circle = candidate
-    center, radius = circle
-    return complex(_ldexp(center, shift)), math.ldexp(radius, shift)
+                    circle, used = candidate, [support[k], support[j], support[i]]
+    return circle, used
+
+
+def smallest_enclosing_circle(points: np.ndarray) -> tuple[complex, float]:
+    """Smallest circle containing all points, by the support-set iteration
+    of Elzinga & Hearn (Transportation Science, 1972).
+
+    The points are put in a fixed pseudo-random order.  A support set S of
+    at most three points starts as the first point, and its circle is the
+    smallest circle of S.  Each step measures every distance to the center
+    in one array pass; if the farthest point lies outside the circle (beyond
+    a relative and absolute slack of ``_COVER_SLACK``), it joins S, the
+    smallest circle of those at most four points is computed, and S becomes
+    the points that define it.  The new circle contains the old S, whose
+    smallest circle is unique and misses the added point, so the radius
+    strictly increases: no S repeats, and the loop ends.  It ends when the
+    circle contains every point; being the smallest circle of a subset, the
+    circle is then the smallest of all the points.  A loop that has not ended
+    after n steps raises `ConvergenceError`.
+
+    The circles of S are computed as Welzl's incremental method
+    (Welzl, LNCS 555, 1991) computes them over the same order, from the same
+    formulas with the later point first, so when the circle's defining
+    points are unique the result is that method's to the bit.  Coordinates
+    are scaled by a power of two into `_COORD_RANGE` and the circle scaled
+    back, both exact.
+    """
+    points = np.asarray(points, dtype=complex)
+    if points.ndim != 1 or points.size == 0:
+        raise InvalidInputError("need a non-empty 1-D array of points")
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("points must be finite")
+    shift = _coordinate_shift(points)
+    order = np.random.default_rng(20260808).permutation(points.size)
+    pts = _ldexp(points, -shift)[order]
+    circle, support = (complex(pts[0]), 0.0), [0]
+    for _ in range(points.size):
+        center, radius = circle
+        dist = np.abs(pts - center)
+        far = int(np.argmax(dist))
+        allowed = radius * (1.0 + _COVER_SLACK) + _COVER_SLACK
+        if dist[far] <= allowed:
+            return complex(_ldexp(center, shift)), math.ldexp(radius, shift)
+        circle, support = _support_circle(pts, sorted(support + [far]))
+    raise ConvergenceError(points.size, float(dist[far] - radius), allowed - radius)
 
 
 class _NegDepth:

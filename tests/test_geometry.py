@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize import minimize
 
 from greenrecon import geometry
 from greenrecon.conformal import ConformalMap
-from greenrecon.errors import InvalidInputError
+from greenrecon.errors import ConvergenceError, InvalidInputError
 from greenrecon.families import disk, disk_for_constant, fourier_disk, perturbed_disk
 from greenrecon.geometry import (DomainBoundary, _total_turning, align_rotation,
                                  boundary_of, hausdorff_discretization_bound,
@@ -81,6 +82,77 @@ def scan_inscribed_circle(b):
                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
     center = complex(result.x[0], result.x[1])
     return center, float(-result.fun)
+
+
+def welzl_enclosing_circle(points):
+    """Oracle: Welzl's incremental method over Python complex scalars, as
+    smallest_enclosing_circle computed it before its support-set iteration
+    (same shuffle, formulas and cover slack)."""
+    points = np.asarray(points, dtype=complex)
+    shift = geometry._coordinate_shift(points)
+    pts = [complex(p) for p in geometry._ldexp(points, -shift)]
+    rng = np.random.default_rng(20260808)
+    order = rng.permutation(len(pts))
+    shuffled = [pts[i] for i in order]
+
+    def circle_two(a, b):
+        center = 0.5 * (a + b)
+        return center, abs(a - center)
+
+    def circumcircle(a, b, c):
+        ax, ay = a.real, a.imag
+        bx, by = b.real, b.imag
+        cx, cy = c.real, c.imag
+        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+        if abs(d) < 1e-300:
+            return None
+        ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
+              + (cx * cx + cy * cy) * (ay - by)) / d
+        uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
+              + (cx * cx + cy * cy) * (bx - ax)) / d
+        center = complex(ux, uy)
+        return center, abs(a - center)
+
+    def covers(circle, p, slack=1e-12):
+        center, r = circle
+        return abs(p - center) <= r * (1 + slack) + slack
+
+    circle = (shuffled[0], 0.0)
+    for i, p in enumerate(shuffled):
+        if covers(circle, p):
+            continue
+        circle = (p, 0.0)
+        for j in range(i):
+            q = shuffled[j]
+            if covers(circle, q):
+                continue
+            circle = circle_two(p, q)
+            for k in range(j):
+                r = shuffled[k]
+                if covers(circle, r):
+                    continue
+                candidate = circumcircle(p, q, r)
+                if candidate is not None:
+                    circle = candidate
+    center, radius = circle
+    return complex(geometry._ldexp(center, shift)), math.ldexp(radius, shift)
+
+
+def brute_force_enclosing_circle(points):
+    """Oracle: the least of the circles on two points as a diameter and the
+    circles through three points (centers by a linear solve) that cover
+    every point."""
+    candidates = [(0.5 * (a + b), 0.5 * abs(a - b)) for a, b in combinations(points, 2)]
+    for a, b, c in combinations(points, 3):
+        lhs = 2.0 * np.array([[(b - a).real, (b - a).imag],
+                              [(c - a).real, (c - a).imag]])
+        if abs(np.linalg.det(lhs)) < 1e-12:
+            continue
+        x, y = np.linalg.solve(lhs, [abs(b) ** 2 - abs(a) ** 2, abs(c) ** 2 - abs(a) ** 2])
+        candidates.append((complex(x, y), abs(a - complex(x, y))))
+    return min(((center, radius) for center, radius in candidates
+                if np.all(np.abs(points - center) <= radius * (1 + 1e-12))),
+               key=lambda circle: circle[1])
 
 
 def polyline(points, zeta_o=0j):
@@ -337,8 +409,8 @@ class TestFreeCenterDisks:
     @pytest.mark.parametrize("radius", [1e-170, 1e160])
     def test_extreme_scales(self, radius):
         # squared coordinates underflow below about 1e-154 and overflow above
-        # about 1e154, and Welzl's absolute 1e-12 slack swallows any domain
-        # narrower than that
+        # about 1e154, and the enclosing circle's absolute 1e-12 cover slack
+        # swallows any domain narrower than that
         b = circle_boundary(radius=radius, n=64)
         _, big_r = inradius_circumradius(b)
         center, r_free = smallest_enclosing_circle(b.points)
@@ -422,6 +494,63 @@ class TestInscribedCircleEqualsScan:
         p = b.zeta_o + abs(b.points[0] - b.zeta_o) * where
         assert (geometry._NegDepth(b).distance(p.real, p.imag)
                 == scan_polyline_distance(p, b.points))
+
+
+def regular_polygon(n):
+    return np.exp(1j * np.arange(n) * (TWO_PI / n))
+
+
+class TestEnclosingCircle:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(b=star_domains())
+    def test_equals_welzl_on_random_star_domains(self, b):
+        assert smallest_enclosing_circle(b.points) == welzl_enclosing_circle(b.points)
+
+    @pytest.mark.parametrize("points", [
+        *(regular_polygon(n) for n in (64, 256, 4096)),
+        *(boundary_of(perturbed_disk(eps / 100), 512).points for eps in range(1, 21)),
+    ], ids=[*(f"{n}-gon" for n in (64, 256, 4096)),
+            *(f"perturbed-0.{eps:02d}" for eps in range(1, 21))])
+    def test_near_welzl_on_co_circular_supports(self, points):
+        # four or more points tie for the support here, and which of them
+        # define the circle depends on the order they are met in
+        center, radius = smallest_enclosing_circle(points)
+        center_ref, radius_ref = welzl_enclosing_circle(points)
+        assert abs(radius - radius_ref) <= 2 * np.spacing(radius_ref)
+        assert abs(center - center_ref) <= 1e-12 * radius_ref
+        assert np.all(np.abs(points - center) <= radius * (1 + 1e-12))
+
+    def test_equals_brute_force_on_few_points(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(6, 11))
+            points = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+            _, radius = smallest_enclosing_circle(points)
+            _, radius_ref = brute_force_enclosing_circle(points)
+            assert radius == pytest.approx(radius_ref, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("points", [
+        boundary_of(perturbed_disk(0.49), 4096).points, regular_polygon(4096),
+    ], ids=["perturbed-0.49", "4096-gon"])
+    def test_terminates_at_n4096(self, points):
+        center, radius = smallest_enclosing_circle(points)
+        assert np.all(np.abs(points - center) <= radius * (1 + 1e-12))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a support update that never grows the circle must not loop forever
+        monkeypatch.setattr(geometry, "_support_circle",
+                            lambda pts, support: ((complex(pts[0]), 0.0), [0]))
+        with pytest.raises(ConvergenceError):
+            smallest_enclosing_circle(regular_polygon(64))
+
+    @pytest.mark.parametrize("points, match", [
+        (np.array([], dtype=complex), "non-empty"),
+        (np.array([1, np.nan, 2j, -1]), "finite"),
+        (np.array([1, np.inf, 2j, -1]), "finite"),
+    ], ids=["empty", "nan", "inf"])
+    def test_bad_input_refused(self, points, match):
+        with pytest.raises(InvalidInputError, match=match):
+            smallest_enclosing_circle(points)
 
 
 def count_turning_tests(monkeypatch):
