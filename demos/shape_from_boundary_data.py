@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from greenrecon import (boundary_of, forward_operator, hausdorff_distance,
                         inradius_circumradius, reconstruct_fprime)
 from greenrecon.families import fourier_disk
-from greenrecon.geometry import save_polyline
+from greenrecon.files import save_polyline
 
 n = 512
 truth = fourier_disk({2: 0.08, 3: 0.05 - 0.02j, 5: 0.01j})

@@ -7,14 +7,14 @@ verification of quantitative stability inequalities with explicit constants.
 """
 
 from .boundary import (BoundaryFunction, CumulativeMap, build_cumulative,
-                       invert_cumulative, load_boundary_data,
-                       rescale_to_common_interval, save_boundary_data,
+                       invert_cumulative, rescale_to_common_interval,
                        validate_class)
 from .conformal import (ConformalMap, arclength, eval_boundary, eval_fprime,
-                        forward_operator, load_map, save_map)
+                        forward_operator)
 from .errors import (AliasingError, CompatibilityError, ConvergenceError,
                      DataFormatError, DegenerateMapError, GreenreconError,
                      InvalidInputError, NotUnivalentError)
+from .files import load_boundary_data, load_map, save_boundary_data, save_map
 from .geometry import (DomainBoundary, align_rotation, boundary_of,
                        hausdorff_discretization_bound, hausdorff_distance,
                        inradius_circumradius)

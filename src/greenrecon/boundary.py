@@ -9,17 +9,14 @@ circle angle; the inverse pulls circle data back to arclength.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import norms
 from ._spectral import (CumulativeTrig, TrigInterpolant, invert_increasing,
                         resample_uniform, uniform_grid)
-from .errors import CompatibilityError, DataFormatError, InvalidInputError
+from .errors import CompatibilityError, InvalidInputError
 
 COMPATIBILITY_TOL = 1e-8
 INVERSION_TOL = 1e-12  # absolute, in circle-angle units
@@ -249,84 +246,3 @@ def rescale_to_common_interval(phi1: BoundaryFunction, phi2: BoundaryFunction
 
     return rescaled(phi1), rescaled(phi2), L
 
-
-def _write_atomic(path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path`` and rename it over
-    ``path``.  On failure the temporary file is removed and ``path`` is left
-    as it was (or absent)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def save_boundary_data(path, phi: BoundaryFunction) -> None:
-    """Write a datum in the plain-text exchange format.
-
-    Line 1: ``L <perimeter>``; line 2: ``alpha <value>``; then N lines of
-    ``s value [derivative]`` at uniform arclength.
-    """
-    lines = [f"L {phi.L:.17g}", f"alpha {phi.alpha:.17g}"]
-    grid = phi.grid
-    if phi.derivative_values is not None:
-        for s, v, d in zip(grid, phi.values, phi.derivative_values):
-            lines.append(f"{s:.17g} {v:.17g} {d:.17g}")
-    else:
-        for s, v in zip(grid, phi.values):
-            lines.append(f"{s:.17g} {v:.17g}")
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def load_boundary_data(path) -> BoundaryFunction:
-    """Read a datum written by :func:`save_boundary_data`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
-    rows = [(i + 1, line.strip()) for i, line in enumerate(raw)
-            if line.strip() and not line.lstrip().startswith("#")]
-    if len(rows) < 3:
-        raise DataFormatError(path, len(raw), "expected header plus samples")
-
-    def parse_header(row, key):
-        line_no, text = row
-        parts = text.split()
-        if len(parts) != 2 or parts[0] != key:
-            raise DataFormatError(path, line_no, f"expected '{key} <value>'")
-        try:
-            return float(parts[1])
-        except ValueError:
-            raise DataFormatError(path, line_no, f"bad number {parts[1]!r}") from None
-
-    L = parse_header(rows[0], "L")
-    alpha = parse_header(rows[1], "alpha")
-    svals, values, derivs = [], [], []
-    has_deriv = None
-    for line_no, text in rows[2:]:
-        parts = text.split()
-        if len(parts) not in (2, 3):
-            raise DataFormatError(path, line_no, "expected 's value [derivative]'")
-        try:
-            nums = [float(p) for p in parts]
-        except ValueError:
-            raise DataFormatError(path, line_no, "bad number in sample row") from None
-        if has_deriv is None:
-            has_deriv = len(parts) == 3
-        elif has_deriv != (len(parts) == 3):
-            raise DataFormatError(path, line_no, "inconsistent derivative column")
-        svals.append(nums[0])
-        values.append(nums[1])
-        if has_deriv:
-            derivs.append(nums[2])
-    svals = np.asarray(svals)
-    n = svals.size
-    expected = uniform_grid(n, L)
-    if not np.allclose(svals, expected, rtol=0, atol=1e-9 * max(L, 1.0)):
-        raise DataFormatError(path, rows[2][0], "arclength grid is not uniform on [0, L)")
-    return BoundaryFunction(np.asarray(values), L, alpha=alpha,
-                            derivative_values=np.asarray(derivs) if has_deriv else None)

@@ -4,17 +4,16 @@ Subcommands: ``forward``, ``invert``, ``roundtrip``, ``hausdorff``, ``check``
 (with a theorem selector) and ``sweep``.  Options may come from flags or from
 a key = value config file with one section per command; a config value is
 converted and checked by its flag's own type, choices and range rule, and
-flags win.  All
-numeric output is fixed-format with 17 significant digits so that reports are
-byte-reproducible; files are written to a temporary name and renamed on
-success.  Exit status: 0 when everything passed, 2 when a theorem check
-failed, 1 on input errors.
+flags win.  Every file is read and written by :mod:`greenrecon.files`.
+Exit status: 0 when everything passed, 2 when a theorem check failed, 1 on
+input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -22,21 +21,20 @@ from pathlib import Path
 import numpy as np
 
 from . import stability
-from .boundary import _write_atomic, build_cumulative, load_boundary_data, save_boundary_data
-from .conformal import boundary_grid, eval_fprime, forward_operator, load_map, save_map
+from .boundary import build_cumulative
+from .conformal import boundary_grid, eval_fprime, forward_operator
 from .errors import GreenreconError, InvalidInputError
 from .families import disk, parse_family
+from .files import (at_line, load_boundary_data, load_map, read_config, save_boundary_data,
+                    save_map, save_polyline, write_atomic, write_csv)
 from .geometry import (boundary_of, hausdorff_discretization_bound,
-                       hausdorff_distance, inradius_circumradius, save_polyline)
+                       hausdorff_distance, inradius_circumradius)
 from .norms import _check_alpha
 from .reconstruct import reconstruct_fprime, roundtrip_error
 
 THEOREMS = ("raggi", "disco", "stab-gen", "lugua", "ultimo")
 _ALIGNMENTS = ("proof", "optimal")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_MAX_EPS_STEPS = 10 ** 6  # a longer --eps range is refused before it is listed
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -113,50 +111,48 @@ def _check_jobs(jobs: int, name: str) -> None:
         raise InvalidInputError(f"{name} must be at least 1, got {jobs}")
 
 
+def _check_finite(x: float | None, name: str) -> None:
+    if x is not None and not math.isfinite(x):
+        raise InvalidInputError(f"{name} must be finite, got {x}")
+
+
+def _parse_point(text: str, flag: str) -> complex:
+    try:
+        re_part, im_part = (float(p) for p in text.split(","))
+    except Exception:
+        raise InvalidInputError(f"{flag} expects 're,im', got {text!r}") from None
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise InvalidInputError(f"{flag} must be finite, got {text!r}")
+    return complex(re_part, im_part)
+
+
+def _check_point(text: str | None, name: str) -> None:
+    if text is not None:
+        _parse_point(text, name)
+
+
 # the range rule of each option that has one, by dest; ``name`` spells the
 # option in the error as it was given (a flag, or a config key)
-_RANGES = {"n": _check_n, "alpha": _check_alpha, "jobs": _check_jobs}
+_RANGES = {"n": _check_n, "alpha": _check_alpha, "jobs": _check_jobs,
+           "zeta_o": _check_point, "zeta_b": _check_point,
+           **dict.fromkeys(("c", "m", "M0", "M1", "p", "P"), _check_finite)}
 
 
 def _read_config(path: Path, command: str, actions: dict) -> dict:
     """The values of the config file section named after the command, by dest,
     converted and range-checked as the same options given as flags are."""
-    if not path.exists():
-        raise InvalidInputError(f"config file {path} does not exist")
-    parser = configparser.ConfigParser(interpolation=None)  # '%' is a plain character
-    parser.optionxform = str  # keys are case-sensitive: M0, M1, P vs p
-    try:
-        parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        errors = getattr(exc, "errors", None)  # a ParsingError lists its malformed lines
-        if errors:
-            line = errors[0][0]
-            text = path.read_text(encoding="utf-8").splitlines()[line - 1].strip()
-            raise InvalidInputError(f"{path}:{line}: malformed line {text!r}") from None
-        line = getattr(exc, "lineno", 0) or 0
-        raise InvalidInputError(f"{path}:{line}: {exc.message.splitlines()[0]}") from None
-    if not parser.has_section(command):
-        return {}
-
-    def fail(key, message):
-        line = _find_config_line(path, command, key)
-        raise InvalidInputError(f"{path}:{line}: {message}")
-
     values = {}
-    for key, text in parser.items(command):
+    for line, key, text in read_config(path, command):
         action = actions.get(key.replace("-", "_").lstrip("_"))
-        if action is None:
-            fail(key, f"unknown option {key!r} for command {command!r}")
-        try:
-            value = _convert(action, text)
-        except ValueError:
-            fail(key, f"bad value {text!r} for {key!r}")
-        if action.dest in _RANGES:
+        with at_line(path, line):
+            if action is None:
+                raise InvalidInputError(f"unknown option {key!r} for command {command!r}")
             try:
-                _RANGES[action.dest](value, key)
-            except InvalidInputError as exc:
-                fail(key, str(exc))
-        values[action.dest] = value
+                values[action.dest] = _convert(action, text)
+            except ValueError:
+                raise InvalidInputError(f"bad value {text!r} for {key!r}") from None
+            if action.dest in _RANGES:
+                _RANGES[action.dest](values[action.dest], key)
     return values
 
 
@@ -174,24 +170,6 @@ def _convert(action: argparse.Action, text: str):
     return value
 
 
-def _find_config_line(path: Path, section: str, key: str) -> int:
-    current = None
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if line.strip().startswith("["):
-            current = line.strip()[1:-1].strip()
-        elif current == section and line.replace(":", "=").split("=")[0].strip() == key:
-            return i
-    return 0
-
-
-def _parse_point(text: str, flag: str) -> complex:
-    try:
-        re_part, im_part = (float(p) for p in text.split(","))
-    except Exception:
-        raise InvalidInputError(f"{flag} expects 're,im', got {text!r}") from None
-    return complex(re_part, im_part)
-
-
 def _require_file(path_text: str | None, flag: str) -> Path:
     if not path_text:
         raise InvalidInputError(f"missing required option {flag}")
@@ -199,13 +177,6 @@ def _require_file(path_text: str | None, flag: str) -> Path:
     if not path.exists():
         raise InvalidInputError(f"{flag} path {path} does not exist")
     return path
-
-
-def _plot_series(path: Path, header: str, columns) -> None:
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +192,12 @@ def _cmd_forward(args) -> int:
     save_boundary_data(out / "datum.bdata", phi)
     cm = build_cumulative(phi)
     theta = cm.theta_nodes()
-    _plot_series(out / "cumulative.csv", "s,theta", (phi.grid, theta))
+    write_csv(out / "cumulative.csv", "s,theta", zip(phi.grid, theta))
     save_polyline(out / "polyline.csv", boundary_of(f, n))
     if args.emit_plots:
-        _plot_series(out / "fprime_abs.csv", "theta,fprime_abs",
-                     (boundary_grid(n), np.abs(eval_fprime(f, n))))
-        _plot_series(out / "datum_plot.csv", "s,phi", (phi.grid, phi.values))
+        write_csv(out / "fprime_abs.csv", "theta,fprime_abs",
+                  zip(boundary_grid(n), np.abs(eval_fprime(f, n))))
+        write_csv(out / "datum_plot.csv", "s,phi", zip(phi.grid, phi.values))
     return 0
 
 
@@ -239,15 +210,13 @@ def _cmd_invert(args) -> int:
     result = reconstruct_fprime(phi, zeta_o, zeta_b, args.n)
     out = Path(args.out)
     save_map(out / "reconstructed.map", result.map)
-    report = [
-        "name,value",
-        f"gamma,{_fmt(result.gamma)}",
-        f"compatibility_residual,{_fmt(result.compatibility_residual)}",
-        f"normalization_residual,{_fmt(result.normalization_residual)}",
-        f"tail_energy,{_fmt(result.tail_energy)}",
-        f"consistent,{'true' if result.consistent else 'false'}",
-    ]
-    _write_atomic(out / "invert_report.csv", "\n".join(report) + "\n")
+    write_csv(out / "invert_report.csv", "name,value", [
+        ("gamma", result.gamma),
+        ("compatibility_residual", result.compatibility_residual),
+        ("normalization_residual", result.normalization_residual),
+        ("tail_energy", result.tail_energy),
+        ("consistent", "true" if result.consistent else "false"),
+    ])
     if not result.consistent:
         print("warning: datum is inconsistent with the prescribed base-point "
               f"distance (residual {result.normalization_residual:.3g})", file=sys.stderr)
@@ -259,10 +228,8 @@ def _cmd_roundtrip(args) -> int:
     f = load_map(_require_file(args.map, "--map"))
     sizes = [max(64, n // 4), max(64, n // 2), n]
     sizes = sorted(set(sizes))
-    rows = ["n,error"]
-    for size in sizes:
-        rows.append(f"{size},{_fmt(roundtrip_error(f, size, alignment=args.alignment))}")
-    _write_atomic(Path(args.out) / "roundtrip.csv", "\n".join(rows) + "\n")
+    write_csv(Path(args.out) / "roundtrip.csv", "n,error",
+              [(size, roundtrip_error(f, size, alignment=args.alignment)) for size in sizes])
     return 0
 
 
@@ -275,12 +242,9 @@ def _cmd_hausdorff(args) -> int:
     bound = hausdorff_discretization_bound(b1, b2)
     rho1, big_r1 = inradius_circumradius(b1)
     rho2, big_r2 = inradius_circumradius(b2)
-    rows = ["name,value",
-            f"hausdorff,{_fmt(d)}",
-            f"discretization_bound,{_fmt(bound)}",
-            f"rho1,{_fmt(rho1)}", f"R1,{_fmt(big_r1)}",
-            f"rho2,{_fmt(rho2)}", f"R2,{_fmt(big_r2)}"]
-    _write_atomic(Path(args.out) / "hausdorff.csv", "\n".join(rows) + "\n")
+    write_csv(Path(args.out) / "hausdorff.csv", "name,value", [
+        ("hausdorff", d), ("discretization_bound", bound),
+        ("rho1", rho1), ("R1", big_r1), ("rho2", rho2), ("R2", big_r2)])
     return 0
 
 
@@ -321,7 +285,7 @@ def _cmd_check(args) -> int:
     overrides = {k: getattr(args, k) for k in ("m", "M0", "M1", "p", "P")}
     reports = _run_checks(args.theorem, d, stability.DomainSample(f2, args.n), args.alpha,
                           args.alignment, overrides, args.c)
-    _write_atomic(Path(args.out) / "report.csv", stability.reports_to_csv(reports))
+    write_atomic(Path(args.out) / "report.csv", stability.reports_to_csv(reports))
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.theorem}/{r.row}: lhs={r.lhs:.6g} K*rhs={r.product:.6g} "
@@ -336,10 +300,14 @@ def _parse_eps_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in text.split(":"))
     except Exception:
         raise InvalidInputError(f"--eps expects start:stop:step, got {text!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise InvalidInputError(f"--eps start, stop and step must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise InvalidInputError("--eps range must be increasing with positive step")
-    count = int(round((stop - start) / step)) + 1
-    values = [round(start + i * step, 12) for i in range(count)]
+    steps = (stop - start) / step
+    if not steps < _MAX_EPS_STEPS:  # an overflowed span is inf
+        raise InvalidInputError(f"--eps range {text!r} has more than {_MAX_EPS_STEPS} steps")
+    values = [round(start + i * step, 12) for i in range(int(round(steps)) + 1)]
     return [v for v in values if v <= stop + 1e-12]
 
 
@@ -363,7 +331,7 @@ def _cmd_sweep(args) -> int:
 
     reports = [r for rows in results for r in rows]
     out = Path(args.out)
-    _write_atomic(out / "sweep.csv", stability.reports_to_csv(reports))
+    write_atomic(out / "sweep.csv", stability.reports_to_csv(reports))
     if args.emit_plots:
         main_rows = {"raggi": ("raggi", "radii_gap"),
                      "disco": ("disco", "map_gap_vs_disk"),
@@ -372,14 +340,10 @@ def _cmd_sweep(args) -> int:
                      "ultimo": ("ultimo", "map_gap")}
         for theorem_name in theorems:
             want_theorem, want_row = main_rows[theorem_name]
-            xs, ys = [], []
-            for eps, rows in zip(eps_values, results):
-                for r in rows:
-                    if r.theorem == want_theorem and r.row == want_row:
-                        xs.append(eps)
-                        ys.append(r.ratio)
-            if xs:
-                _plot_series(out / f"ratio_{want_theorem}.csv", "eps,ratio", (xs, ys))
+            series = [(eps, r.ratio) for eps, rows in zip(eps_values, results)
+                      for r in rows if r.theorem == want_theorem and r.row == want_row]
+            if series:
+                write_csv(out / f"ratio_{want_theorem}.csv", "eps,ratio", series)
     all_pass = all(r.passed for r in reports)
     print(f"sweep: {len(reports)} rows, "
           f"{'all pass' if all_pass else 'FAILURES present'}")
@@ -406,7 +370,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)  # flags override the file's defaults
         for dest, check in _RANGES.items():
             if dest in vars(args):
-                check(getattr(args, dest), "--" + dest)
+                check(getattr(args, dest), "--" + dest.replace("_", "-"))
         return _HANDLERS[args.command](args)
     except (GreenreconError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

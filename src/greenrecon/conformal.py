@@ -20,9 +20,8 @@ from scipy.spatial import cKDTree
 
 from ._spectral import (TrigInterpolant, _power_sum, derivative_samples, invert_increasing,
                         uniform_grid)
-from .boundary import COMPATIBILITY_TOL, BoundaryFunction, _write_atomic
-from .errors import (AliasingError, CompatibilityError, DataFormatError, DegenerateMapError,
-                     InvalidInputError)
+from .boundary import COMPATIBILITY_TOL, BoundaryFunction
+from .errors import AliasingError, CompatibilityError, DegenerateMapError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
 DEGENERACY_TOL = 1e-12
@@ -290,57 +289,3 @@ def pushforward_datum(f: ConformalMap, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 / (TWO_PI * speed),
             -derivative_samples(speed, TWO_PI) / (TWO_PI * speed ** 2))
 
-
-def save_map(path, f: ConformalMap) -> None:
-    """Write a map in the plain-text exchange format: zeta_o, zeta_b, then
-    one ``k re(a_k) im(a_k)`` row per coefficient."""
-    lines = [
-        f"zeta_o {f.zeta_o.real:.17g} {f.zeta_o.imag:.17g}",
-        f"zeta_b {f.zeta_b.real:.17g} {f.zeta_b.imag:.17g}",
-    ]
-    for k, a in enumerate(f.coefficients):
-        lines.append(f"{k} {a.real:.17g} {a.imag:.17g}")
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def load_map(path) -> ConformalMap:
-    """Read a map written by :func:`save_map`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
-    rows = [(i + 1, line.strip()) for i, line in enumerate(raw)
-            if line.strip() and not line.lstrip().startswith("#")]
-    if len(rows) < 4:
-        raise DataFormatError(path, len(raw), "expected two marked points and coefficients")
-
-    def parse_point(row, key):
-        line_no, text = row
-        parts = text.split()
-        if len(parts) != 3 or parts[0] != key:
-            raise DataFormatError(path, line_no, f"expected '{key} re im'")
-        try:
-            return complex(float(parts[1]), float(parts[2]))
-        except ValueError:
-            raise DataFormatError(path, line_no, "bad number in marked point") from None
-
-    zeta_o = parse_point(rows[0], "zeta_o")
-    zeta_b = parse_point(rows[1], "zeta_b")
-    coeffs = []
-    for idx, (line_no, text) in enumerate(rows[2:]):
-        parts = text.split()
-        if len(parts) != 3:
-            raise DataFormatError(path, line_no, "expected 'k re im'")
-        try:
-            k = int(parts[0])
-            a = complex(float(parts[1]), float(parts[2]))
-        except ValueError:
-            raise DataFormatError(path, line_no, "bad number in coefficient row") from None
-        if k != idx:
-            raise DataFormatError(path, line_no, f"coefficient index {k}, expected {idx}")
-        coeffs.append(a)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if abs(coeffs[0] - zeta_o) > 1e-12 * max(1.0, abs(zeta_o)):
-        raise DataFormatError(path, rows[2][0], "a_0 does not match zeta_o")
-    try:
-        return ConformalMap(coeffs, zeta_b=zeta_b)
-    except InvalidInputError as exc:
-        raise DataFormatError(path, rows[1][0], str(exc)) from None

@@ -5,16 +5,14 @@ rotation alignment of two maps about their common interior base point."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
-from .boundary import _write_atomic
-from .conformal import (ConformalMap, _total_turning, arclength, boundary_grid,
-                        eval_boundary)
+from .conformal import ConformalMap, _total_turning, arclength, eval_boundary
 from .errors import ConvergenceError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -51,7 +49,6 @@ class DomainBoundary:
     points: np.ndarray
     zeta_o: complex
     arclengths: np.ndarray
-    thetas: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
@@ -66,10 +63,6 @@ class DomainBoundary:
             raise InvalidInputError("arclength tags must be strictly increasing")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "arclengths", s)
-        if self.thetas is None:
-            object.__setattr__(self, "thetas", boundary_grid(pts.size))
-        else:
-            object.__setattr__(self, "thetas", np.asarray(self.thetas, dtype=float))
         winding = _total_turning(pts, complex(self.zeta_o)) / TWO_PI
         if abs(winding - 1.0) > 1e-6:
             raise InvalidInputError(
@@ -417,10 +410,3 @@ def largest_inscribed_circle(b: DomainBoundary) -> tuple[complex, float]:
     center = complex(result.x[0], result.x[1])
     return center, float(-result.fun)
 
-
-def save_polyline(path, b: DomainBoundary) -> None:
-    """CSV export: one ``theta,s,re,im`` row per boundary sample."""
-    lines = ["theta,s,re,im"]
-    for theta, s, p in zip(b.thetas, b.arclengths, b.points):
-        lines.append(f"{theta:.17g},{s:.17g},{p.real:.17g},{p.imag:.17g}")
-    _write_atomic(path, "\n".join(lines) + "\n")

@@ -38,6 +38,7 @@ from .conformal import (ConformalMap, _check_grid, _univalence_faults, c1_gap,
                         forward_operator, pushforward_datum)
 from .errors import InvalidInputError, NotUnivalentError
 from .families import disk_for_constant
+from .files import format_number
 from .geometry import (DomainBoundary, align_rotation, boundary_of,
                        hausdorff_distance, inradius_circumradius,
                        largest_inscribed_circle, smallest_enclosing_circle)
@@ -123,6 +124,18 @@ class ConstantsBundle:
             sides = [x for x in (L1, L2) if x is not None]
             if sides and not (0 < p <= min(sides) and max(sides) <= P):
                 raise InvalidInputError("need 0 < p <= L1, L2 <= P")
+        try:
+            bundle = cls._assembled(alpha, m, M0, M1, L, L1, L2, p, P)
+        except (ZeroDivisionError, OverflowError):
+            bundle = None
+        if bundle is None or not bundle._finite():
+            raise InvalidInputError(
+                f"an assembled constant is not finite for alpha={alpha}, m={m}, M0={M0}, "
+                f"M1={M1}, p={p}, P={P}: the hypothesis bounds are out of float range")
+        return bundle
+
+    @classmethod
+    def _assembled(cls, alpha, m, M0, M1, L, L1, L2, p, P) -> "ConstantsBundle":
         ca = c_alpha(alpha)
         # Sup/seminorm control of the log-ratio of the circle data:
         #   [log psi1 - log psi2]_a <= C1 * sup|dpsi| + C2 * [dpsi]_a
@@ -176,6 +189,15 @@ class ConstantsBundle:
         return cls(alpha=alpha, m=m, M0=M0, M1=M1, L=L, L1=L1, L2=L2, p=p, P=P,
                    c_alpha=ca, C1=C1, C2=C2, K_stab=K_stab, K_disco=K_disco,
                    A=A, B=B, K1=K1, K2=K2, K_lugua=K_lugua, K_ultimo=K_ultimo)
+
+    def _finite(self) -> bool:
+        """Whether every constant that was assembled is finite; K_lugua and
+        K_ultimo stay NaN ("not applicable") when their hypotheses are absent."""
+        values = [self.c_alpha, self.C1, self.C2, self.K_stab, self.K_disco]
+        values += [x for x in (self.A, self.B, self.K1, self.K2) if x is not None]
+        values += [self.K_lugua] if self.A is not None else []
+        values += [self.K_ultimo] if self.K1 is not None else []
+        return all(math.isfinite(x) for x in values)
 
     @property
     def K_hausdorff(self) -> float:
@@ -238,7 +260,7 @@ class StabilityReport:
 
     def csv_row(self) -> str:
         def num(x):
-            return "" if x is None else f"{x:.17g}"
+            return "" if x is None else format_number(x)
 
         fields = [self.theorem, self.row, num(self.lhs), num(self.rhs_norm),
                   num(self.K), num(self.product), num(self.ratio),

@@ -1,16 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from greenrecon.boundary import (BoundaryFunction, COMPATIBILITY_TOL,
-                                 INVERSION_TOL, _write_atomic, build_cumulative,
-                                 invert_cumulative, load_boundary_data,
-                                 rescale_to_common_interval, save_boundary_data,
+                                 INVERSION_TOL, build_cumulative,
+                                 invert_cumulative, rescale_to_common_interval,
                                  validate_class)
-from greenrecon.conformal import save_map
 from greenrecon.errors import (CompatibilityError, DataFormatError,
                                InvalidInputError)
 from greenrecon.families import perturbed_disk
-from greenrecon.geometry import boundary_of, save_polyline
+from greenrecon.files import (load_boundary_data, save_boundary_data, save_map,
+                              save_polyline, write_atomic)
+from greenrecon.geometry import boundary_of
 from greenrecon.norms import holder_seminorm
 
 TWO_PI = 2 * np.pi
@@ -229,12 +231,32 @@ class TestDataFiles:
         with pytest.raises(DataFormatError):
             load_boundary_data(path)
 
+    @pytest.mark.parametrize("line_no, text", [
+        (1, "L nan"), (2, "alpha 0"), (5, "0.125 nan"), (3, None)],
+        ids=["nan-perimeter", "alpha-zero", "nan-sample", "fifteen-samples"])
+    def test_refused_values_name_their_line(self, tmp_path, line_no, text):
+        path = tmp_path / "datum.bdata"
+        if text is None:  # 15 samples on a uniform grid: the first sample row is named
+            rows = [f"{k / 15!r} 1" for k in range(15)]
+            path.write_text("L 1\nalpha 0.5\n" + "\n".join(rows) + "\n")
+        else:
+            save_boundary_data(path, constant_datum(n=16, L=1.0))
+            lines = path.read_text().splitlines()
+            lines[line_no - 1] = text
+            path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(DataFormatError) as err:
+                load_boundary_data(path)
+        assert err.value.line_no == line_no
+        assert f"{path}:{line_no}: " in str(err.value)
+
 
 class TestAtomicWrite:
     def test_failed_write_leaves_no_file(self, tmp_path):
         # a lone surrogate cannot be encoded, so the write fails before the rename
         with pytest.raises(UnicodeEncodeError):
-            _write_atomic(tmp_path / "out.csv", "1,2\n\ud800")
+            write_atomic(tmp_path / "out.csv", "1,2\n\ud800")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("save, obj", [
@@ -250,7 +272,7 @@ class TestAtomicWrite:
         def refuse(src, dst):
             raise OSError("rename refused")
 
-        monkeypatch.setattr("greenrecon.boundary.os.replace", refuse)
+        monkeypatch.setattr("greenrecon.files.os.replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
             save(target, obj)
         assert list(tmp_path.iterdir()) == [target]

@@ -6,10 +6,9 @@ from collections import Counter
 import pytest
 
 from greenrecon import cli, stability
-from greenrecon.boundary import load_boundary_data
 from greenrecon.cli import main
-from greenrecon.conformal import load_map, save_map
 from greenrecon.families import disk, perturbed_disk
+from greenrecon.files import load_boundary_data, load_map, save_map
 
 
 @pytest.fixture
@@ -85,6 +84,27 @@ class TestCheckCommand:
         code = main(["check", "--theorem", "raggi", "--map", str(disk_map),
                      "--out", str(tmp_path / "o"), "--n", "100"])
         assert code == 1
+
+    def test_constants_out_of_float_range_are_input_errors(self, tmp_path, disk_map, capsys):
+        out = tmp_path / "o"
+        assert main(["check", "--theorem", "raggi", "--map", str(disk_map),
+                     "--out", str(out), "--n", "128", "--m", "1e-300"]) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "--theorem", "lugua", "--M1", "inf"], "--M1"),
+        (["check", "--theorem", "stab-gen", "--M0", "inf"], "--M0"),
+        (["check", "--theorem", "disco", "--c", "nan"], "--c"),
+        (["invert", "--data", "datum.bdata", "--zeta-b", "inf,0"], "--zeta-b"),
+    ], ids=["M1", "M0", "c", "zeta-b"])
+    def test_non_finite_flag_is_refused(self, tmp_path, disk_map, capsys, argv, flag):
+        out = tmp_path / "o"
+        if argv[0] == "check":
+            argv = argv + ["--map", str(disk_map)]
+        assert main(argv + ["--n", "128", "--out", str(out)]) == 1
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestForwardInvertPipeline:
@@ -226,6 +246,20 @@ class TestConfigFile:
         assert f"{cfg}:4: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, line", [
+        ("check", "M0 = inf"), ("invert", "zeta-b = inf,0")], ids=["M0", "zeta-b"])
+    def test_non_finite_config_value_names_its_line(self, tmp_path, disk_map, capsys,
+                                                    section, line):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "o"
+        cfg.write_text(f"[{section}]\n{line}\nout = {out}\n")
+        argv = {"check": ["check", "--theorem", "stab-gen", "--map", str(disk_map)],
+                "invert": ["invert", "--data", "datum.bdata"]}[section]
+        assert main(argv + ["--config", str(cfg), "--n", "128"]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: {line.split()[0]} must be finite" in err
+        assert not out.exists()
+
     def test_flag_wins_over_a_config_boolean(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "o"
@@ -309,6 +343,15 @@ class TestSweep:
                      "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert "n = 512 samples" in err and "under-resolved" in err
+
+    @pytest.mark.parametrize("eps", ["nan:0.2:0.1", "0.1:0.2:nan", "0.1:inf:0.1",
+                                     "0.1:0.2:inf", "-1e308:1e308:1", "0:1:1e-12"])
+    def test_eps_range_that_names_nothing_is_refused(self, tmp_path, capsys, eps):
+        out = tmp_path / "x"
+        assert main(["sweep", "--family", "z+eps*z^2", f"--eps={eps}", "--theorem", "raggi",
+                     "--n", "64", "--out", str(out)]) == 1
+        assert "--eps" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_bad_eps_range(self, tmp_path):
         assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1-0.2",

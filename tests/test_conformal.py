@@ -7,12 +7,12 @@ from scipy.integrate import quad
 from greenrecon._spectral import _power_sum, derivative_samples
 from greenrecon.conformal import (ConformalMap, _on_nodes, _polyline_is_simple,
                                   _total_turning, arclength, boundary_grid, c1_gap,
-                                  eval_boundary, eval_fprime, forward_operator, load_map,
-                                  save_map)
+                                  eval_boundary, eval_fprime, forward_operator)
 from greenrecon.errors import (AliasingError, CompatibilityError, DataFormatError,
                                DegenerateMapError, InvalidInputError)
 from greenrecon.families import (disk, disk_for_constant, equal_perimeter_pair,
                                  fourier_disk, parse_family, perturbed_disk)
+from greenrecon.files import load_map, save_map
 
 TWO_PI = 2 * np.pi
 
@@ -405,3 +405,11 @@ class TestMapFiles:
         path.write_text("zeta_o 0 0\nzeta_b 5 0\n0 0 0\n1 1 0\n")
         with pytest.raises(DataFormatError):
             load_map(path)
+
+    def test_non_finite_coefficient_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.map"
+        path.write_text("zeta_o 0 0\nzeta_b 1 0\n0 0 0\n1 nan 0\n")
+        with pytest.raises(DataFormatError) as err:
+            load_map(path)
+        assert err.value.line_no == 4
+        assert "not finite" in str(err.value)

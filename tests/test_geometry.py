@@ -14,8 +14,8 @@ from greenrecon.families import disk, disk_for_constant, fourier_disk, perturbed
 from greenrecon.geometry import (DomainBoundary, _total_turning, align_rotation,
                                  boundary_of, hausdorff_discretization_bound,
                                  hausdorff_distance, inradius_circumradius,
-                                 largest_inscribed_circle, save_polyline,
-                                 smallest_enclosing_circle)
+                                 largest_inscribed_circle, smallest_enclosing_circle)
+from greenrecon.files import save_polyline
 
 TWO_PI = 2 * np.pi
 
@@ -23,7 +23,7 @@ TWO_PI = 2 * np.pi
 def circle_boundary(radius=1.0, center=0j, n=256, phase=0.0):
     theta = phase + np.arange(n) * (TWO_PI / n)
     return DomainBoundary(points=center + radius * np.exp(1j * theta),
-                          zeta_o=center, arclengths=radius * theta, thetas=theta)
+                          zeta_o=center, arclengths=radius * theta)
 
 
 def pair_scan_hausdorff(b1, b2):
@@ -283,7 +283,7 @@ class TestRadii:
         pts = a * np.cos(theta) + 1j * bb * np.sin(theta)
         chord = np.cumsum(np.abs(np.diff(np.concatenate([[pts[-1]], pts]))))
         boundary = DomainBoundary(points=pts, zeta_o=0j,
-                                  arclengths=chord, thetas=theta)
+                                  arclengths=chord)
         rho, big_r = inradius_circumradius(boundary)
         assert rho == pytest.approx(1.0, abs=1e-12)
         assert big_r == pytest.approx(2.0, abs=1e-12)

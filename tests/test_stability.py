@@ -121,6 +121,16 @@ class TestConstantsBundle:
             ConstantsBundle.assemble(0.5, m=0.1, M0=0.5, M1=0.6,
                                      L1=5.0, L2=6.0, p=5.5, P=7.0)
 
+    @pytest.mark.parametrize("m", [1e-80, 1e-300])
+    def test_constants_out_of_float_range_are_refused(self, m):
+        # m = 1e-80 overflows K_stab to inf; m = 1e-300 underflows m^(a+3) to 0
+        with pytest.raises(InvalidInputError, match="not finite"):
+            ConstantsBundle.assemble(0.5, m, 1.0)
+
+    def test_not_applicable_constants_stay_nan(self):
+        b = ConstantsBundle.assemble(0.5, 0.1, 0.5)
+        assert math.isnan(b.K_lugua) and math.isnan(b.K_ultimo)
+
 
 class TestReportMechanics:
     def make(self, lhs, rhs, K=1.0):
