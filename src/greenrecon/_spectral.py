@@ -13,9 +13,9 @@ import numpy as np
 from .errors import ConvergenceError, InvalidInputError
 
 
-def uniform_grid(n: int, period: float, start: float = 0.0) -> np.ndarray:
-    """Uniform grid of n points on [start, start + period), endpoint excluded."""
-    return start + np.arange(n) * (period / n)
+def uniform_grid(n: int, period: float) -> np.ndarray:
+    """Uniform grid of n points on [0, period), endpoint excluded."""
+    return np.arange(n) * (period / n)
 
 
 # Baby steps per giant step, and points per block: a block's table of powers
@@ -186,14 +186,14 @@ def resample_uniform(values, m: int) -> np.ndarray:
     return np.fft.irfft(out, m) * (m / n)
 
 
-def trig_sup_abs(values, oversample: int = 8) -> float:
+def trig_sup_abs(values) -> float:
     """Supremum of |interpolant| of uniform periodic samples.
 
-    Resamples on an oversampled grid and polishes the discrete maximum with a
-    parabolic fit; accurate to roughly (oversample*n)^-4 relative.
+    Resamples on a grid 8 times finer and polishes the discrete maximum with
+    a parabolic fit; accurate to roughly (8n)^-4 relative.
     """
     values = np.asarray(values, dtype=float)
-    fine = np.abs(resample_uniform(values, oversample * values.size))
+    fine = np.abs(resample_uniform(values, 8 * values.size))
     i = int(np.argmax(fine))
     m = fine.size
     ym, y0, yp = fine[(i - 1) % m], fine[i], fine[(i + 1) % m]

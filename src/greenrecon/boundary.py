@@ -145,23 +145,19 @@ class CumulativeMap:
         return invert_increasing(self._cum, targets)
 
 
-def build_cumulative(phi: BoundaryFunction, renormalize: bool = False) -> CumulativeMap:
+def build_cumulative(phi: BoundaryFunction) -> CumulativeMap:
     """Cumulative map of a datum by spectral antidifferentiation.
 
-    Requires the compatibility integral to equal 1 within ``COMPATIBILITY_TOL``
-    unless ``renormalize`` is set, in which case the samples are scaled first
-    (off by default so that inconsistent data is surfaced, not masked).
-    Phi(L) = 2*pi is enforced exactly by pinning the mean of the interpolant.
+    Requires the compatibility integral to equal 1 within ``COMPATIBILITY_TOL``,
+    so that inconsistent data is surfaced, not masked.  Phi(L) = 2*pi is
+    enforced exactly by pinning the mean of the interpolant.
     """
     integral = phi.integral()
-    values = phi.values
     if abs(integral - 1.0) > COMPATIBILITY_TOL:
-        if not renormalize:
-            raise CompatibilityError(integral, COMPATIBILITY_TOL, phi.n)
-        values = values / integral
-    interp = TrigInterpolant(values, phi.L)
+        raise CompatibilityError(integral, COMPATIBILITY_TOL, phi.n)
+    interp = TrigInterpolant(phi.values, phi.L)
     cumulative = interp.antiderivative(mean=1.0 / phi.L)
-    if np.min(values) <= 0:
+    if np.min(phi.values) <= 0:
         raise InvalidInputError("datum must be strictly positive to be invertible")
     return CumulativeMap(cumulative, phi.L)
 

@@ -33,6 +33,9 @@ from .norms import _check_alpha
 from .reconstruct import reconstruct_fprime, roundtrip_error
 
 THEOREMS = ("raggi", "disco", "stab-gen", "lugua", "ultimo")
+# the check options that only some theorems read, by dest, with those theorems
+_THEOREM_OPTIONS = {"c": ("disco",), "M1": ("lugua", "ultimo"), "p": ("ultimo",),
+                    "P": ("ultimo",), "map2": ("stab-gen", "lugua", "ultimo")}
 _ALIGNMENTS = ("proof", "optimal")
 _MAX_EPS_STEPS = 10 ** 6  # a longer --eps range is refused before it is listed
 
@@ -278,12 +281,16 @@ def _run_checks(theorem: str, d, partner, alpha: float, alignment: str,
 def _cmd_check(args) -> int:
     if args.theorem is None:
         raise InvalidInputError("missing required option --theorem")
+    for dest, theorems in _THEOREM_OPTIONS.items():
+        if getattr(args, dest) is not None and args.theorem not in theorems:
+            raise InvalidInputError(f"--{dest} is not read by --theorem {args.theorem}")
     d = stability.DomainSample(load_map(_require_file(args.map, "--map")), args.n)
-    f2 = disk()
-    if args.map2:
-        f2 = load_map(_require_file(args.map2, "--map2"))
+    partner = None
+    if args.theorem in _THEOREM_OPTIONS["map2"]:
+        f2 = load_map(_require_file(args.map2, "--map2")) if args.map2 else disk()
+        partner = stability.DomainSample(f2, args.n)
     overrides = {k: getattr(args, k) for k in ("m", "M0", "M1", "p", "P")}
-    reports = _run_checks(args.theorem, d, stability.DomainSample(f2, args.n), args.alpha,
+    reports = _run_checks(args.theorem, d, partner, args.alpha,
                           args.alignment, overrides, args.c)
     write_atomic(Path(args.out) / "report.csv", stability.reports_to_csv(reports))
     for r in reports:

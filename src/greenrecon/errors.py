@@ -13,7 +13,7 @@ class CompatibilityError(GreenreconError):
     """A boundary datum does not integrate to one within tolerance.
 
     Carries the measured integral and the datum's sample count n, so callers
-    can report, renormalize or recompute at a larger n.
+    can report it or recompute at a larger n.
     """
 
     def __init__(self, integral: float, tolerance: float, n: int):

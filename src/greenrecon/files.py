@@ -2,18 +2,20 @@
 
 Numbers go out with 17 significant digits (:func:`format_number`), so that
 reports are byte-reproducible, and every file is written atomically
-(:func:`write_atomic`).  The readers skip blank and ``#`` lines and refuse
-the first row they cannot use with a :class:`DataFormatError` at its
-file:line.  Formats: a map file is ``zeta_o re im``, ``zeta_b re im``, then
-``k re(a_k) im(a_k)`` for k = 0..M; a boundary data file is ``L <perimeter>``,
-``alpha <value>``, then ``s value [derivative]`` at uniform arclength on
-[0, L); a CSV file is a header line, then comma-separated rows; a config
-file has ``key = value`` lines in one ``[section]`` per command.
+(:func:`write_atomic`).  The readers take UTF-8 text, skip blank and ``#``
+lines and refuse the first row they cannot use with a
+:class:`DataFormatError` at its file:line.  Formats: a map file is
+``zeta_o re im``, ``zeta_b re im``, then ``k re(a_k) im(a_k)`` for
+k = 0..M; a boundary data file is ``L <perimeter>``, ``alpha <value>``,
+then ``s value [derivative]`` at uniform arclength on [0, L); a CSV file is
+a header line, then comma-separated rows; a config file has ``key = value``
+lines in one ``[section]`` per command.
 """
 
 from __future__ import annotations
 
 import configparser
+import io
 import math
 import os
 import tempfile
@@ -64,12 +66,23 @@ def write_csv(path, header: str, rows) -> None:
     write_atomic(path, header + "\n" + _lines(rows, ","))
 
 
+def _read_text(path) -> str:
+    """A file's text with its newlines translated, as ``open`` reads it; a
+    byte that is not UTF-8 is refused at its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(path, data.count(b"\n", 0, exc.start) + 1,
+                              f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _numbered_rows(path, minimum: int, expected: str) -> list[tuple[int, list[str]]]:
     """(line number, fields) of every line that is neither blank nor a ``#``
     comment; a file with fewer than ``minimum`` such lines is refused at its
     last line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
+    raw = io.StringIO(_read_text(path)).readlines()
     rows = [(i, line.split()) for i, line in enumerate(raw, start=1)
             if line.strip() and not line.lstrip().startswith("#")]
     if len(rows) < minimum:
@@ -183,7 +196,7 @@ def read_config(path: Path, section: str) -> list[tuple[int, str, str]]:
     character.  A file that does not parse is refused at its file:line."""
     if not path.exists():
         raise InvalidInputError(f"config file {path} does not exist")
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     lines = text.splitlines()
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str

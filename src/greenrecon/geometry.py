@@ -5,7 +5,7 @@ rotation alignment of two maps about their common interior base point."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -308,26 +308,26 @@ class _NegDepth:
     """Objective of `largest_inscribed_circle`: minus the distance from a point
     to the polyline when the point is inside the domain, 0.0 when it is not.
 
-    The edges are laid out once: their starts ``ax, ay``, their vectors
-    ``abx, aby`` and ``den = max(|ab|^2, 1e-300)``, with four n-sized
-    buffers that every evaluation reuses.  The deepest inside point evaluated
-    so far, ``(x, y, depth)``, lets later points skip the turning test.
+    The edges of ``b``'s points scaled by 2^-shift are laid out once: starts
+    ``ax, ay``, vectors ``abx, aby``, ``den = max(|ab|^2, 1e-300)`` and unit
+    left normals ``nx, ny`` (Python floats, as each evaluation reads one or
+    two), with five n-sized buffers that every evaluation overwrites.
     """
 
-    def __init__(self, b: DomainBoundary):
-        pts = b.points
+    def __init__(self, b: DomainBoundary, shift: int = 0):
+        pts = _ldexp(b.points, -shift)
         end = np.roll(pts, -1)
-        self.points = pts
         self.ax, self.ay = pts.real.copy(), pts.imag.copy()
         self.abx, self.aby = end.real - self.ax, end.imag - self.ay
         self.den = np.maximum(self.abx * self.abx + self.aby * self.aby, 1e-300)
-        self._t, self._dx, self._dy, self._sq = np.empty((4, pts.size))
-        self.deepest = (0.0, 0.0, 0.0)
+        length = np.sqrt(self.den)
+        self.nx, self.ny = (-self.aby / length).tolist(), (self.abx / length).tolist()
+        self._t, self._dx, self._dy, self._sq, self._dx2 = np.empty((5, pts.size))
 
-    def distance(self, x: float, y: float) -> float:
-        """Distance from (x, y) to the polyline: the least ``np.hypot`` from
-        the point to its clamped projection on each edge, to the bit."""
-        t, dx, dy, sq = self._t, self._dx, self._dy, self._sq
+    def distance_and_side(self, x: float, y: float) -> tuple[float, bool]:
+        """Distance from (x, y) to the polyline, the least ``np.hypot`` to a
+        clamped projection on an edge (to the bit), and whether it is inside."""
+        t, dx, dy, sq, dx2 = self._t, self._dx, self._dy, self._sq, self._dx2
         np.subtract(x, self.ax, out=t)
         t *= self.abx
         np.subtract(y, self.ay, out=dy)
@@ -340,25 +340,25 @@ class _NegDepth:
             np.multiply(t, ab, out=d)
             d += a
             np.subtract(p, d, out=d)
-        np.multiply(dx, dx, out=t)
+        np.multiply(dx, dx, out=dx2)
         np.multiply(dy, dy, out=sq)
-        sq += t
-        near = (sq <= sq.min() * (1.0 + _SQ_RTOL) + _SQ_ATOL).nonzero()[0]
-        return float(np.hypot(dx[near], dy[near]).min())
+        sq += dx2
+        i = int(sq.argmin())
+        near = (sq <= sq[i] * (1.0 + _SQ_RTOL) + _SQ_ATOL).nonzero()[0]
+        # a projection clamped to an end of edge i is the vertex it shares
+        # with edge j; elsewhere j = i, and the doubled normal has the same sign
+        end = t.item(i)
+        j = (i + (end == 1.0) - (end == 0.0)) % t.size
+        side = ((self.nx[i] + self.nx[j]) * dx.item(i)
+                + (self.ny[i] + self.ny[j]) * dy.item(i))
+        return float(np.hypot(dx[near], dy[near]).min()), side > 0.0
+
+    def distance(self, x: float, y: float) -> float:
+        return self.distance_and_side(x, y)[0]
 
     def __call__(self, xy) -> float:
-        x, y = float(xy[0]), float(xy[1])
-        cx, cy, depth = self.deepest
-        if not math.hypot(x - cx, y - cy) < 0.5 * depth:
-            try:
-                if abs(_total_turning(self.points, complex(x, y)) / TWO_PI - 1.0) > 1e-6:
-                    return 0.0  # outside
-            except InvalidInputError:
-                return 0.0
-        d = self.distance(x, y)
-        if d > depth:
-            self.deepest = (x, y, d)
-        return -d
+        d, inside = self.distance_and_side(float(xy[0]), float(xy[1]))
+        return -d if inside else 0.0
 
 
 def largest_inscribed_circle(b: DomainBoundary) -> tuple[complex, float]:
@@ -368,16 +368,16 @@ def largest_inscribed_circle(b: DomainBoundary) -> tuple[complex, float]:
     Nelder-Mead polish of the distance-to-boundary function; adequate for the
     star-shaped domains this package produces.
 
-    Two shortcuts make each evaluation cheap and leave every value as the
-    turning test and the full projection-and-hypot scan give it:
+    One scan of the edges gives each evaluation both its values:
 
-    * The turning test runs only for points at least half the depth d away
-      from the deepest inside point evaluated so far.  A point nearer than
-      that is inside: the segment joining the two stays more than d/2 from
-      the polyline, so the winding number cannot change along it.  At that
-      distance every edge subtends an angle bounded away from pi, so the
-      turning sum's rounding stays far below the test's 1e-6 tolerance and
-      the test would also have said inside.
+    * The side comes from the nearest point (the pseudonormal test of
+      Baerentzen & Aanaes, IEEE TVCG 2005): the point is inside when its
+      residual points along the normal there, the edge's unit left normal
+      or, at a vertex (read off the clamp), the sum of its two edges'
+      normals, which points inward at convex and reflex vertices alike.
+      The test needs a simple polyline, counterclockwise about ``zeta_o``:
+      `DomainBoundary` checks that the base point winds once, and
+      `DomainSample`'s univalence test that the polyline is simple.
     * The distance takes ``np.hypot`` only on the edges whose squared
       distance is within a relative ``_SQ_RTOL``, or an absolute
       ``_SQ_ATOL``, of the least.  Squares and hypots come from the same
@@ -386,27 +386,26 @@ def largest_inscribed_circle(b: DomainBoundary) -> tuple[complex, float]:
       one ulp.  An edge whose hypot is least therefore has a square within
       that allowance of the least square, and is always among the candidates.
 
-    Coordinates outside `_COORD_RANGE` are scaled by a power of two first, and
-    the disk scaled back; both are exact.
+    Coordinates are scaled by a power of two into `_COORD_RANGE` and the disk
+    scaled back, both exact.
     """
     shift = _coordinate_shift(b.points)
-    if shift:
-        center, radius = largest_inscribed_circle(replace(
-            b, points=_ldexp(b.points, -shift), zeta_o=complex(_ldexp(b.zeta_o, -shift))))
-        return complex(_ldexp(center, shift)), math.ldexp(radius, shift)
-    neg_depth = _NegDepth(b)
-    rho0, _ = inradius_circumradius(b)
-    best_xy = np.array([b.zeta_o.real, b.zeta_o.imag])
+    zeta_o = complex(_ldexp(b.zeta_o, -shift))
+    neg_depth = _NegDepth(b, shift)
+    rho0 = float(np.min(np.abs(_ldexp(b.points, -shift) - zeta_o)))
+    best_xy = np.array([zeta_o.real, zeta_o.imag])
     best = neg_depth(best_xy)
+    if best == 0.0:
+        raise InvalidInputError(
+            "base point outside: the polyline is not simple and counterclockwise")
     for radius in (0.2 * rho0, 0.45 * rho0, 0.7 * rho0):
         for angle in np.arange(8) * (TWO_PI / 8):
-            xy = np.array([b.zeta_o.real + radius * np.cos(angle),
-                           b.zeta_o.imag + radius * np.sin(angle)])
+            xy = np.array([zeta_o.real + radius * np.cos(angle),
+                           zeta_o.imag + radius * np.sin(angle)])
             val = neg_depth(xy)
             if val < best:
                 best, best_xy = val, xy
     result = minimize(neg_depth, best_xy, method="Nelder-Mead",
                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
     center = complex(result.x[0], result.x[1])
-    return center, float(-result.fun)
-
+    return complex(_ldexp(center, shift)), math.ldexp(float(-result.fun), shift)

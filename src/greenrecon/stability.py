@@ -290,16 +290,21 @@ class DomainSample:
     reported quantity is rotation-invariant, and the frame makes the float
     path independent of the input's orientation.  A grid too coarse for the
     map, and a map that fails a univalence test at this n (so that its image
-    is not known to be a domain), are rejected here.  The boundary datum, the
-    circle data (psi, psi') read off the map, the boundary polyline with its
-    arclength tags and the datum's measured Holder norms (per alpha) are
-    computed on first use and kept, so checks that share a sample share them.  The cache takes no
-    lock: a sample shared by threads must be filled (:meth:`fill`) before
-    they start.
+    is not known to be a domain), are rejected here, and so is a datum that
+    does not integrate to 1 (`CompatibilityError`).  The boundary datum, the
+    circle data (psi, psi') read off the map at the theta grid (as
+    :func:`pushforward_datum`) and the boundary polyline with its arclength
+    tags are computed here; the datum's measured Holder norms are computed
+    per alpha on first use and kept, so checks that share a sample share all
+    of them.  That cache takes no lock: a sample shared by threads must be
+    filled (:meth:`fill`) before they start.
     """
 
     f: ConformalMap
     n: int
+    datum: BoundaryFunction = field(init=False, repr=False)
+    circle: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    polyline: DomainBoundary = field(init=False, repr=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -309,24 +314,14 @@ class DomainSample:
         if faults:
             raise NotUnivalentError(
                 f"map is not univalent at n = {self.n}: {'; '.join(faults)}")
+        object.__setattr__(self, "datum", forward_operator(self.f, self.n))
+        object.__setattr__(self, "circle", pushforward_datum(self.f, self.n))
+        object.__setattr__(self, "polyline", boundary_of(self.f, self.n))
 
     def _cached(self, key, compute):
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
-
-    @property
-    def datum(self) -> BoundaryFunction:
-        return self._cached("datum", lambda: forward_operator(self.f, self.n))
-
-    @property
-    def circle(self) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, psi') at the theta grid, as :func:`pushforward_datum`."""
-        return self._cached("circle", lambda: pushforward_datum(self.f, self.n))
-
-    @property
-    def polyline(self) -> DomainBoundary:
-        return self._cached("polyline", lambda: boundary_of(self.f, self.n))
 
     def seminorm(self, alpha: float) -> float:
         """[phi]_alpha on the closed arclength interval [0, L]."""
@@ -342,8 +337,8 @@ class DomainSample:
         return self._cached(("norm1", alpha), lambda: self.datum.holder_norm1(alpha))
 
     def fill(self, alpha: float) -> None:
-        """Compute every cached value the checks read at this alpha."""
-        _ = self.circle, self.polyline, self.seminorm(alpha), self.norm1(alpha)
+        """Compute every cached norm the checks read at this alpha."""
+        _ = self.seminorm(alpha), self.norm1(alpha)
 
 
 def _same_n(d1: DomainSample, d2: DomainSample) -> int:

@@ -79,11 +79,6 @@ class TestBuildCumulative:
         assert err.value.tolerance == COMPATIBILITY_TOL
         assert err.value.n == 32
 
-    def test_renormalize_flag(self):
-        bad = BoundaryFunction(np.full(32, 0.2), 6.0)
-        cm = build_cumulative(bad, renormalize=True)
-        assert cm.theta_of(np.array([6.0]))[0] == pytest.approx(TWO_PI, abs=1e-12)
-
 
 class TestInversion:
     def test_roundtrip_random_angles(self):
@@ -218,6 +213,13 @@ class TestDataFiles:
         with pytest.raises(DataFormatError) as err:
             load_boundary_data(path)
         assert err.value.line_no == 2
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.bdata"
+        path.write_bytes(b"L 1\nalpha 0.5\n0 1\n0.5 1\xff\n")
+        with pytest.raises(DataFormatError) as err:
+            load_boundary_data(path)
+        assert err.value.line_no == 4
 
     def test_nonuniform_grid_rejected(self, tmp_path):
         phi = constant_datum(n=16, L=1.0)

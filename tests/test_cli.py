@@ -106,6 +106,27 @@ class TestCheckCommand:
         assert f"{flag} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("theorem, flag", [
+        ("raggi", "--c"), ("stab-gen", "--c"), ("ultimo", "--c"),
+        ("raggi", "--M1"), ("disco", "--M1"), ("stab-gen", "--M1"),
+        ("raggi", "--p"), ("lugua", "--p"), ("disco", "--P"), ("lugua", "--P"),
+        ("raggi", "--map2"), ("disco", "--map2")])
+    def test_option_the_theorem_does_not_read_is_refused(self, tmp_path, disk_map, capsys,
+                                                          theorem, flag):
+        out = tmp_path / "o"
+        value = str(disk_map) if flag == "--map2" else "3"
+        assert main(["check", "--theorem", theorem, "--map", str(disk_map), flag, value,
+                     "--n", "128", "--out", str(out)]) == 1
+        assert f"{flag} is not read by --theorem {theorem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_map_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.map"
+        path.write_bytes(b"zeta_o 0 0\nzeta_b 1.1 0\n0 0 0\n1 1 0\n2 0.1\xff 0\n")
+        assert main(["check", "--theorem", "raggi", "--map", str(path), "--n", "128",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert f"{path}:5: " in capsys.readouterr().err
+
 
 class TestForwardInvertPipeline:
     def test_files_roundtrip(self, tmp_path, pert_map):
@@ -245,6 +266,12 @@ class TestConfigFile:
         assert main(argv + (["--theorem", "raggi"] if "theorem" not in line else [])) == 1
         assert f"{cfg}:4: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_utf8_config_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"[sweep]\nfamily = z+eps*z^2\n# caf\xe9\n")
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert f"{cfg}:3: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, line", [
         ("check", "M0 = inf"), ("invert", "zeta-b = inf,0")], ids=["M0", "zeta-b"])

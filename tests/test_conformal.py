@@ -406,6 +406,18 @@ class TestMapFiles:
         with pytest.raises(DataFormatError):
             load_map(path)
 
+    @pytest.mark.parametrize("comments", [0, 3000], ids=["short", "past-8-KiB"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, comments):
+        # the whole file is decoded at once, so the line is right however far
+        # into the file the byte lies
+        path = tmp_path / "bad.map"
+        path.write_bytes(b"# note\n" * comments
+                         + b"zeta_o 0 0\nzeta_b 1.1 0\n0 0 0\n1 1 0\n2 0.1\xff 0\n")
+        with pytest.raises(DataFormatError) as err:
+            load_map(path)
+        assert err.value.line_no == comments + 5
+        assert "0xff" in str(err.value)
+
     def test_non_finite_coefficient_names_its_line(self, tmp_path):
         path = tmp_path / "bad.map"
         path.write_text("zeta_o 0 0\nzeta_b 1 0\n0 0 0\n1 nan 0\n")

@@ -8,8 +8,9 @@ from scipy.integrate import quad
 
 from greenrecon import boundary, norms, stability
 from greenrecon._spectral import invert_increasing
-from greenrecon.conformal import forward_operator
-from greenrecon.errors import AliasingError, InvalidInputError, NotUnivalentError
+from greenrecon.conformal import _univalence_faults, forward_operator
+from greenrecon.errors import (AliasingError, CompatibilityError, InvalidInputError,
+                               NotUnivalentError)
 from greenrecon.families import disk, disk_for_constant, equal_perimeter_pair, perturbed_disk
 from greenrecon.stability import (ConstantsBundle, DomainSample, StabilityReport,
                                   c_alpha, check_theorem_disco,
@@ -165,8 +166,12 @@ class TestDomainSample:
         assert "n = 256" in message and "winds" in message and "self-intersects" in message
 
     def test_univalent_map_near_the_limit_accepted(self):
-        # z + eps z^2 is univalent for eps < 1/2
-        assert DomainSample(perturbed_disk(0.49), 4096).n == 4096
+        # z + eps z^2 is univalent for eps < 1/2, and passes the univalence
+        # tests; its datum at this n integrates to 1.0037, so the sample
+        # itself is refused when it is made
+        assert _univalence_faults(perturbed_disk(0.49), 4096) == []
+        with pytest.raises(CompatibilityError, match="n = 4096"):
+            DomainSample(perturbed_disk(0.49), 4096)
 
     def test_map_stored_in_canonical_frame(self):
         d = DomainSample(perturbed_disk(0.1).rotated(2.0), 128)
