@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms
-from ._spectral import (CumulativeTrig, TrigInterpolant, invert_increasing,
-                        resample_uniform, uniform_grid)
+from ._spectral import CumulativeTrig, TrigInterpolant, invert_increasing, uniform_grid
 from .errors import CompatibilityError, InvalidInputError
 
 COMPATIBILITY_TOL = 1e-8
@@ -221,24 +220,19 @@ def validate_class(phi: BoundaryFunction, m: float, M0: float,
 
 def rescale_to_common_interval(phi1: BoundaryFunction, phi2: BoundaryFunction
                                ) -> tuple[BoundaryFunction, BoundaryFunction, float]:
-    """Rescale two data sets onto the common interval [0, L], L the average
-    perimeter: phi_hat_j(s) = phi_j(L_j * s / L).
+    """Rescale two data on grids of one size onto the common interval [0, L],
+    L the average perimeter: phi_hat_j(s) = phi_j(L_j * s / L).
 
-    On matching uniform grids the rescaling is exact sample reuse: values are
-    unchanged, the sup norm is preserved exactly, and derivative samples pick
-    up the factor L_j / L.
+    The rescaling is exact sample reuse: values are unchanged, the sup norm
+    is preserved exactly, and derivative samples pick up the factor L_j / L.
     """
+    if phi1.n != phi2.n:
+        raise InvalidInputError(
+            f"data must share the grid size for rescaling, got n = {phi1.n} and {phi2.n}")
     L = 0.5 * (phi1.L + phi2.L)
-    n = max(phi1.n, phi2.n)
 
     def rescaled(phi: BoundaryFunction) -> BoundaryFunction:
-        values = phi.values if phi.n == n else resample_uniform(phi.values, n)
-        scale = phi.L / L
-        dv = phi.derivative()
-        if phi.n != n:
-            dv = resample_uniform(dv, n)
-        return BoundaryFunction(values, L, alpha=phi.alpha,
-                                derivative_values=scale * dv)
+        return BoundaryFunction(phi.values, L, alpha=phi.alpha,
+                                derivative_values=(phi.L / L) * phi.derivative())
 
     return rescaled(phi1), rescaled(phi2), L
-

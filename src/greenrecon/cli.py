@@ -251,31 +251,35 @@ def _cmd_hausdorff(args) -> int:
     return 0
 
 
-def _run_checks(theorem: str, d, partner, alpha: float, alignment: str,
-                overrides: dict, C: float | None):
+def _run_checks(theorem: str, d, partner, alignment: str, overrides: dict, C: float | None):
     """One theorem's reports for the sample ``d``; the pair theorems compare
     it with ``partner``, lugua after scaling d's map to the partner's
     perimeter."""
     m, M0, M1 = (overrides.get(k) for k in ("m", "M0", "M1"))
     if theorem == "raggi":
-        return stability.check_theorem_raggi(d, alpha, m=m, M0=M0)
+        return stability.check_theorem_raggi(d, m=m, M0=M0)
     if theorem == "disco":
         constant = C if C is not None else 1.0 / d.datum.L
-        return stability.check_theorem_disco(d, constant, alpha, alignment=alignment,
-                                             m=m, M0=M0)
+        return stability.check_theorem_disco(d, constant, alignment=alignment, m=m, M0=M0)
     if theorem == "stab-gen":
-        return stability.check_theorem_stab_gen(d, partner, alpha, alignment=alignment,
-                                                m=m, M0=M0)
+        return stability.check_theorem_stab_gen(d, partner, alignment=alignment, m=m, M0=M0)
     if theorem == "lugua":
         scaled = d.f.scaled(partner.datum.L / d.datum.L)
         return stability.check_theorem_lugua_hausdorff(
-            stability.DomainSample(scaled, d.n), partner, alpha, alignment=alignment,
+            stability.DomainSample(scaled, d.n, d.alpha), partner, alignment=alignment,
             m=m, M0=M0, M1=M1)
     if theorem == "ultimo":
         return stability.check_theorem_ultimo(
-            d, partner, alpha, alignment=alignment, m=m, M0=M0, M1=M1,
+            d, partner, alignment=alignment, m=m, M0=M0, M1=M1,
             p=overrides.get("p"), P=overrides.get("P"))
     raise InvalidInputError(f"unknown theorem selector {theorem!r}")
+
+
+def _refuse_unread_alignment(theorem: str, alignment: str) -> None:
+    """raggi takes its radii about the base point, as the proof does, so it
+    reads no alignment."""
+    if theorem == "raggi" and alignment != "proof":
+        raise InvalidInputError("--alignment is not read by --theorem raggi")
 
 
 def _cmd_check(args) -> int:
@@ -284,14 +288,14 @@ def _cmd_check(args) -> int:
     for dest, theorems in _THEOREM_OPTIONS.items():
         if getattr(args, dest) is not None and args.theorem not in theorems:
             raise InvalidInputError(f"--{dest} is not read by --theorem {args.theorem}")
-    d = stability.DomainSample(load_map(_require_file(args.map, "--map")), args.n)
+    _refuse_unread_alignment(args.theorem, args.alignment)
+    d = stability.DomainSample(load_map(_require_file(args.map, "--map")), args.n, args.alpha)
     partner = None
     if args.theorem in _THEOREM_OPTIONS["map2"]:
         f2 = load_map(_require_file(args.map2, "--map2")) if args.map2 else disk()
-        partner = stability.DomainSample(f2, args.n)
+        partner = stability.DomainSample(f2, args.n, args.alpha)
     overrides = {k: getattr(args, k) for k in ("m", "M0", "M1", "p", "P")}
-    reports = _run_checks(args.theorem, d, partner, args.alpha,
-                          args.alignment, overrides, args.c)
+    reports = _run_checks(args.theorem, d, partner, args.alignment, overrides, args.c)
     write_atomic(Path(args.out) / "report.csv", stability.reports_to_csv(reports))
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -314,7 +318,16 @@ def _parse_eps_range(text: str) -> list[float]:
     steps = (stop - start) / step
     if not steps < _MAX_EPS_STEPS:  # an overflowed span is inf
         raise InvalidInputError(f"--eps range {text!r} has more than {_MAX_EPS_STEPS} steps")
-    values = [round(start + i * step, 12) for i in range(int(round(steps)) + 1)]
+    values = []
+    for i in range(int(round(steps)) + 1):
+        x = start + i * step
+        v = round(x, 12)
+        # the rounding may shed float dust, a few ulps of the terms x is summed
+        # from, but not a value (a range crossing 0 has dust of 1e-17 there)
+        if abs(v - x) > 1e-9 * (abs(start) + i * step):
+            raise InvalidInputError(
+                f"--eps value {x!r} would run as {v!r}: eps is rounded to 12 decimals")
+        values.append(v)
     return [v for v in values if v <= stop + 1e-12]
 
 
@@ -324,14 +337,15 @@ def _cmd_sweep(args) -> int:
     family = parse_family(args.family)
     eps_values = _parse_eps_range(args.eps)
     theorems = list(THEOREMS) if args.theorem == "all" else [args.theorem]
-    partner = stability.DomainSample(disk(), args.n)  # the pair theorems' partner at every eps
-    if set(theorems) & {"stab-gen", "lugua", "ultimo"}:
-        partner.fill(args.alpha)  # before the threads that share it start
+    _refuse_unread_alignment(args.theorem, args.alignment)
+    partner = None  # the pair theorems' partner at every eps
+    if set(theorems) & set(_THEOREM_OPTIONS["map2"]):
+        partner = stability.DomainSample(disk(), args.n, args.alpha)
 
     def reports_at(eps):
-        d = stability.DomainSample(family(eps), args.n)
+        d = stability.DomainSample(family(eps), args.n, args.alpha)
         return [r for theorem in theorems
-                for r in _run_checks(theorem, d, partner, args.alpha, args.alignment, {}, None)]
+                for r in _run_checks(theorem, d, partner, args.alignment, {}, None)]
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(reports_at, eps_values))  # in eps order, whatever the scheduling

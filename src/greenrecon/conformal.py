@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._spectral import (TrigInterpolant, _power_sum, derivative_samples, invert_increasing,
-                        uniform_grid)
+from ._spectral import TrigInterpolant, _power_sum, invert_increasing, uniform_grid
 from .boundary import COMPATIBILITY_TOL, BoundaryFunction
 from .errors import AliasingError, CompatibilityError, DegenerateMapError, InvalidInputError
 
@@ -275,17 +274,4 @@ def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFun
     if phi.compatibility_residual() > COMPATIBILITY_TOL:
         raise CompatibilityError(phi.integral(), COMPATIBILITY_TOL, n)
     return phi
-
-
-def pushforward_datum(f: ConformalMap, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The datum transported to the circle, psi = 1/(2*pi*|f'|), and its
-    theta-derivative psi' = -(|f'|)'/(2*pi*|f'|^2), at the theta grid.
-
-    psi equals the arclength datum composed with the inverse cumulative map,
-    read off the map without an inversion; (|f'|)' is the spectral derivative
-    of the speed samples, in the canonical frame as in :func:`forward_operator`.
-    """
-    speed = np.abs(eval_fprime(f.canonical(), n))
-    return (1.0 / (TWO_PI * speed),
-            -derivative_samples(speed, TWO_PI) / (TWO_PI * speed ** 2))
 

@@ -1,7 +1,8 @@
 """Numerical verification of the stability inequalities.
 
-Each check reads its domains from :class:`DomainSample` objects, which
-compute each domain's datum, circle pushforward, polyline and norms once.
+Each check reads its domains from :class:`DomainSample` values, which fix
+each domain's Holder exponent and compute its datum, circle pushforward,
+polyline and norms once, when they are made.
 It measures the left-hand side of one inequality (a geometric gap
 between two maps or domains), measures the right-hand norms of the datum
 difference, assembles the explicit constant from the hypothesis bounds, and
@@ -26,16 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from scipy.integrate import quad
 
 from . import norms
-from ._spectral import trig_sup_abs
+from ._spectral import derivative_samples, trig_sup_abs
 from .boundary import BoundaryFunction, rescale_to_common_interval
 from .conformal import (ConformalMap, _check_grid, _univalence_faults, c1_gap,
-                        forward_operator, pushforward_datum)
+                        eval_fprime, forward_operator)
 from .errors import InvalidInputError, NotUnivalentError
 from .families import disk_for_constant
 from .files import format_number
@@ -56,8 +57,8 @@ CSV_HEADER = "theorem,row,lhs,rhs,K,product,ratio,pass,n,alignment,m,M0,M1,L1,L2
 # the kernel constant
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _c_alpha_cached(alpha: float, epsabs: float) -> float:
+@cache
+def _c_alpha_quad(alpha: float, epsabs: float) -> float:
     # Substituting t = u^2 turns the integrable endpoint singularity
     # t^(alpha-1) into u^(2*alpha-1), which adaptive quadrature handles.
     upper = math.sqrt(math.pi)
@@ -74,7 +75,7 @@ def c_alpha(alpha: float, epsabs: float = 1e-13) -> float:
 
     Finite for every a in (0, 1]; at a = 1 it equals ln(2)/pi.
     """
-    return _c_alpha_cached(float(norms._check_alpha(alpha)), float(epsabs))
+    return _c_alpha_quad(float(norms._check_alpha(alpha)), float(epsabs))
 
 
 # ---------------------------------------------------------------------------
@@ -284,68 +285,58 @@ def _interval_seminorm(values: np.ndarray, period: float, alpha: float) -> float
 
 @dataclass(frozen=True, eq=False)
 class DomainSample:
-    """One domain at grid size n, as every check reads it.
+    """One domain at grid size n and Holder exponent alpha, as every check
+    reads it.
 
     The map is stored in the canonical frame (f'(0) real positive): every
     reported quantity is rotation-invariant, and the frame makes the float
     path independent of the input's orientation.  A grid too coarse for the
     map, and a map that fails a univalence test at this n (so that its image
     is not known to be a domain), are rejected here, and so is a datum that
-    does not integrate to 1 (`CompatibilityError`).  The boundary datum, the
-    circle data (psi, psi') read off the map at the theta grid (as
-    :func:`pushforward_datum`) and the boundary polyline with its arclength
-    tags are computed here; the datum's measured Holder norms are computed
-    per alpha on first use and kept, so checks that share a sample share all
-    of them.  That cache takes no lock: a sample shared by threads must be
-    filled (:meth:`fill`) before they start.
+    does not integrate to 1 (`CompatibilityError`).  Every field is computed
+    here, when the sample is made: the boundary datum at alpha, the circle
+    data (psi, psi') at the theta grid, the boundary polyline with its
+    arclength tags, and the datum's measured Holder norms at alpha.  Checks
+    that share a sample share all of them.
     """
 
     f: ConformalMap
     n: int
+    alpha: float = 0.5
     datum: BoundaryFunction = field(init=False, repr=False)
     circle: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     polyline: DomainBoundary = field(init=False, repr=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    seminorm: float = field(init=False)  # [phi]_alpha on the closed interval [0, L]
+    norm0: float = field(init=False)     # sup|phi| + [phi]_alpha, as holder_norm0
+    norm1: float = field(init=False)     # sup|phi| + sup|phi'| + [phi']_alpha
 
     def __post_init__(self):
-        object.__setattr__(self, "f", self.f.canonical())
-        _check_grid(self.f, self.n)
-        faults = _univalence_faults(self.f, self.n)
+        f, n, alpha = self.f.canonical(), self.n, self.alpha
+        _check_grid(f, n)
+        faults = _univalence_faults(f, n)
         if faults:
-            raise NotUnivalentError(
-                f"map is not univalent at n = {self.n}: {'; '.join(faults)}")
-        object.__setattr__(self, "datum", forward_operator(self.f, self.n))
-        object.__setattr__(self, "circle", pushforward_datum(self.f, self.n))
-        object.__setattr__(self, "polyline", boundary_of(self.f, self.n))
-
-    def _cached(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def seminorm(self, alpha: float) -> float:
-        """[phi]_alpha on the closed arclength interval [0, L]."""
-        return self._cached(("seminorm", alpha), lambda: norms.holder_seminorm(
-            self.datum.as_interval_function(), alpha))
-
-    def norm0(self, alpha: float) -> float:
-        """||phi||_{0,alpha}: sup|phi| + [phi]_alpha, as ``holder_norm0``."""
-        return float(np.max(np.abs(self.datum.values))) + self.seminorm(alpha)
-
-    def norm1(self, alpha: float) -> float:
-        """||phi||_{1,alpha}: sup|phi| + sup|phi'| + [phi']_alpha."""
-        return self._cached(("norm1", alpha), lambda: self.datum.holder_norm1(alpha))
-
-    def fill(self, alpha: float) -> None:
-        """Compute every cached norm the checks read at this alpha."""
-        _ = self.seminorm(alpha), self.norm1(alpha)
+            raise NotUnivalentError(f"map is not univalent at n = {n}: {'; '.join(faults)}")
+        datum = forward_operator(f, n, alpha)
+        # psi = 1/(2 pi |f'|) is the datum composed with the inverse cumulative
+        # map, read off the map without an inversion; psi' = -(|f'|)'/(2 pi
+        # |f'|^2) takes the spectral derivative of the speed samples
+        speed = np.abs(eval_fprime(f, n))
+        circle = (1.0 / (TWO_PI * speed),
+                  -derivative_samples(speed, TWO_PI) / (TWO_PI * speed ** 2))
+        seminorm = norms.holder_seminorm(datum.as_interval_function(), alpha)
+        for name, value in dict(
+                f=f, datum=datum, circle=circle, polyline=boundary_of(f, n),
+                seminorm=seminorm, norm0=float(np.max(np.abs(datum.values))) + seminorm,
+                norm1=datum.holder_norm1(alpha)).items():
+            object.__setattr__(self, name, value)
 
 
-def _same_n(d1: DomainSample, d2: DomainSample) -> int:
-    if d1.n != d2.n:
+def _same_n_alpha(d1: DomainSample, d2: DomainSample) -> tuple[int, float]:
+    if (d1.n, d1.alpha) != (d2.n, d2.alpha):
         raise InvalidInputError(
-            f"samples must share the grid size for comparison, got n = {d1.n} and {d2.n}")
-    return d1.n
+            "samples must share the grid size and the Holder exponent for comparison, "
+            f"got n = {d1.n} and {d2.n}, alpha = {d1.alpha} and {d2.alpha}")
+    return d1.n, d1.alpha
 
 
 def _merge_constant(supplied, measured, mode: str, notes: list[str], name: str):
@@ -360,21 +351,20 @@ def _merge_constant(supplied, measured, mode: str, notes: list[str], name: str):
     return measured
 
 
-def _class_constants(samples, alpha: float, notes: list[str], m, M0, M1=None,
-                     with_M1: bool = False):
-    """Class constants (m, M0, M1) for the samples' data: each supplied value
-    where the data satisfy it, else the measured one (said in ``notes``).
-    M1 is None unless ``with_M1``."""
+def _class_constants(samples, notes: list[str], m, M0, M1=None, with_M1: bool = False):
+    """Class constants (m, M0, M1) for the samples' data at their alpha: each
+    supplied value where the data satisfy it, else the measured one (said in
+    ``notes``).  M1 is None unless ``with_M1``."""
     m_meas = min(d.datum.min_value() for d in samples)
     if m_meas <= 0:
         raise InvalidInputError("data must be strictly positive for the class bounds")
-    M0_meas = max(d.norm0(alpha) for d in samples)
+    M0_meas = max(d.norm0 for d in samples)
     m = _merge_constant(m, m_meas, "lower", notes, "m")
     M0 = _merge_constant(M0, M0_meas, "upper", notes, "M0")
     if not with_M1:
         return m, M0, None
     # the hypothesis constant must dominate both Holder norms
-    M1_meas = max(M0_meas, *(d.norm1(alpha) for d in samples))
+    M1_meas = max(M0_meas, *(d.norm1 for d in samples))
     return m, M0, _merge_constant(M1, M1_meas, "upper", notes, "M1")
 
 
@@ -382,7 +372,7 @@ def _class_constants(samples, alpha: float, notes: list[str], m, M0, M1=None,
 # the checks
 # ---------------------------------------------------------------------------
 
-def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, alpha: float,
+def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, *,
                            alignment: str = "proof", m: float | None = None,
                            M0: float | None = None) -> list[StabilityReport]:
     """C1-norm gap of two maps against the Holder norm of the gap of their
@@ -394,9 +384,9 @@ def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, alpha: float,
     * each pushed datum: [psi_j]_a <= [phi_j]_a / (2 pi m)^a;
     * the log ratio: [h]_a <= C1 sup|psi1-psi2| + C2 [psi1-psi2]_a.
     """
-    n = _same_n(d1, d2)
+    n, alpha = _same_n_alpha(d1, d2)
     notes: list[str] = []
-    m, M0, _ = _class_constants((d1, d2), alpha, notes, m, M0)
+    m, M0, _ = _class_constants((d1, d2), notes, m, M0)
     bundle = ConstantsBundle.assemble(alpha, m, M0, L1=d1.datum.L, L2=d2.datum.L)
 
     (psi1, _), (psi2, _) = d1.circle, d2.circle
@@ -409,7 +399,7 @@ def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, alpha: float,
                   notes="; ".join(notes))
     rows = [StabilityReport(
         row=f"pushforward_seminorm_{j}", lhs=_interval_seminorm(psi, TWO_PI, alpha),
-        rhs_norm=d.seminorm(alpha), K=(TWO_PI * bundle.m) ** (-alpha), **common)
+        rhs_norm=d.seminorm, K=(TWO_PI * bundle.m) ** (-alpha), **common)
         for j, (psi, d) in enumerate(((psi1, d1), (psi2, d2)), start=1)]
     rows.append(StabilityReport(
         row="log_ratio_seminorm",
@@ -422,27 +412,27 @@ def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, alpha: float,
 
 
 def _constant_gap_row(theorem: str, row: str, lhs: float, d: DomainSample,
-                      C: float, alpha: float, alignment: str, m, M0) -> StabilityReport:
+                      C: float, alignment: str, m, M0) -> StabilityReport:
     """A raggi or disco row: lhs against the Holder norm of datum - C on the
     arclength interval, with the class widened to hold C when it does not."""
     notes: list[str] = []
-    m, M0, _ = _class_constants((d,), alpha, notes, m, M0)
+    m, M0, _ = _class_constants((d,), notes, m, M0)
     if not m <= C <= M0:
         # the hypothesis wants C inside [m, M0]; widen the class and say so
         notes.append(f"C={C:g} outside [m, M0]=[{m:g}, {M0:g}]; widened")
         m, M0 = min(m, C), max(M0, C)
     phi = d.datum
-    bundle = ConstantsBundle.assemble(alpha, m, M0, L1=phi.L, L2=1.0 / C)
+    bundle = ConstantsBundle.assemble(d.alpha, m, M0, L1=phi.L, L2=1.0 / C)
     # subtracting a constant leaves the seminorm as it is
-    rhs = trig_sup_abs(phi.values - C) + d.seminorm(alpha)
+    rhs = trig_sup_abs(phi.values - C) + d.seminorm
     # raggi's inequality carries disco's constant
     return StabilityReport(
         theorem=theorem, row=row, lhs=lhs, rhs_norm=rhs, K=bundle.K_disco,
         n=d.n, alignment=alignment, m=bundle.m, M0=bundle.M0, M1=None,
-        L1=phi.L, L2=1.0 / C, alpha=alpha, notes="; ".join(notes))
+        L1=phi.L, L2=1.0 / C, alpha=d.alpha, notes="; ".join(notes))
 
 
-def check_theorem_disco(d: DomainSample, C: float, alpha: float,
+def check_theorem_disco(d: DomainSample, C: float, *,
                         alignment: str = "proof", m: float | None = None,
                         M0: float | None = None) -> list[StabilityReport]:
     """Distance of a map from the constant-datum disk map with datum C,
@@ -452,10 +442,10 @@ def check_theorem_disco(d: DomainSample, C: float, alpha: float,
     _, f_C = align_rotation(d.f, disk_for_constant(C, zeta_o=d.f.zeta_o),
                             mode=alignment, n=d.n)
     return [_constant_gap_row("disco", "map_gap_vs_disk", c1_gap(d.f, f_C, d.n),
-                              d, C, alpha, alignment, m, M0)]
+                              d, C, alignment, m, M0)]
 
 
-def check_theorem_raggi(d: DomainSample, alpha: float, m: float | None = None,
+def check_theorem_raggi(d: DomainSample, *, m: float | None = None,
                         M0: float | None = None) -> list[StabilityReport]:
     """Gap between the centered circumradius and inradius, plus the
     free-center variant, against the Holder norm of datum - 1/(2 pi rho)."""
@@ -463,15 +453,13 @@ def check_theorem_raggi(d: DomainSample, alpha: float, m: float | None = None,
     rho, R = inradius_circumradius(b)
     _, rho_free = largest_inscribed_circle(b)
     _, R_free = smallest_enclosing_circle(b.points)
-    return [_constant_gap_row("raggi", row, hi - lo, d, 1.0 / (TWO_PI * lo),
-                              alpha, "proof", m, M0)
+    return [_constant_gap_row("raggi", row, hi - lo, d, 1.0 / (TWO_PI * lo), "proof", m, M0)
             for row, lo, hi in (("radii_gap", rho, R),
                                 ("radii_gap_free_center", rho_free, R_free))]
 
 
-def _chain(d1: DomainSample, d2: DomainSample, alpha: float, alignment: str,
-           bundle: ConstantsBundle, notes: list[str], arc_scales, rows
-           ) -> list[StabilityReport]:
+def _chain(d1: DomainSample, d2: DomainSample, alignment: str, bundle: ConstantsBundle,
+           notes: list[str], arc_scales, rows) -> list[StabilityReport]:
     """The six rows of the equal- and general-perimeter chains.
 
     Both measure the same left-hand sides: the arclength gap of the inverse
@@ -480,7 +468,7 @@ def _chain(d1: DomainSample, d2: DomainSample, alpha: float, alignment: str,
     ``rows`` holds each theorem's (theorem, row, rhs, K) for all rows but the
     third, [dpsi]_a <= (2 pi)^(1-a) sup|dpsi'|, which the two share.
     """
-    n = d1.n
+    n, alpha = d1.n, d1.alpha
     (psi1, psi1_prime), (psi2, psi2_prime) = d1.circle, d2.circle
     dpsi = psi1 - psi2
     sup_dpsi_prime = trig_sup_abs(psi1_prime - psi2_prime)
@@ -499,26 +487,26 @@ def _chain(d1: DomainSample, d2: DomainSample, alpha: float, alignment: str,
             for x, (theorem, row, rhs, K) in zip(lhs, rows)]
 
 
-def check_theorem_lugua_hausdorff(d1: DomainSample, d2: DomainSample, alpha: float,
+def check_theorem_lugua_hausdorff(d1: DomainSample, d2: DomainSample, *,
                                   alignment: str = "proof",
                                   m: float | None = None, M0: float | None = None,
                                   M1: float | None = None) -> list[StabilityReport]:
     """Equal-perimeter stability chain: arclength gap of the inverse
     cumulative maps, sup and derivative gaps of the circle data, the C1-norm
     map gap, and the Hausdorff-distance corollary."""
-    _same_n(d1, d2)
+    _, alpha = _same_n_alpha(d1, d2)
     phi1, phi2 = d1.datum, d2.datum
     L = phi1.L
     if abs(phi1.L - phi2.L) > 1e-8 * max(1.0, L):
         raise InvalidInputError(
             "perimeters differ; use check_theorem_ultimo for that case")
     notes: list[str] = []
-    m, M0, M1 = _class_constants((d1, d2), alpha, notes, m, M0, M1, with_M1=True)
+    m, M0, M1 = _class_constants((d1, d2), notes, m, M0, M1, with_M1=True)
     bundle = ConstantsBundle.assemble(alpha, m, M0, M1=M1, L=L, L1=phi1.L, L2=phi2.L)
 
     sup_dphi = trig_sup_abs(phi1.values - phi2.values)
     sup_dphi_prime = trig_sup_abs(phi1.derivative() - phi2.derivative())
-    return _chain(d1, d2, alpha, alignment, bundle, notes, (1.0, 1.0), [
+    return _chain(d1, d2, alignment, bundle, notes, (1.0, 1.0), [
         ("lugua", "arclength_gap", sup_dphi, L / m),
         ("lugua", "pushforward_sup_gap", sup_dphi ** alpha, bundle.A),
         ("lugua", "pushforward_derivative_gap",
@@ -528,17 +516,17 @@ def check_theorem_lugua_hausdorff(d1: DomainSample, d2: DomainSample, alpha: flo
          bundle.K_hausdorff)])
 
 
-def check_theorem_ultimo(d1: DomainSample, d2: DomainSample, alpha: float,
+def check_theorem_ultimo(d1: DomainSample, d2: DomainSample, *,
                          alignment: str = "proof", m: float | None = None,
                          M0: float | None = None, M1: float | None = None,
                          p: float | None = None, P: float | None = None
                          ) -> list[StabilityReport]:
     """General-perimeter stability chain on the rescaled common interval,
     including the Hausdorff-distance corollary."""
-    _same_n(d1, d2)
+    _, alpha = _same_n_alpha(d1, d2)
     phi1, phi2 = d1.datum, d2.datum
     notes: list[str] = []
-    m, M0, M1 = _class_constants((d1, d2), alpha, notes, m, M0, M1, with_M1=True)
+    m, M0, M1 = _class_constants((d1, d2), notes, m, M0, M1, with_M1=True)
     L1, L2 = phi1.L, phi2.L
     p = _merge_constant(p, min(L1, L2), "lower", notes, "p")
     P = _merge_constant(P, max(L1, L2), "upper", notes, "P")
@@ -548,7 +536,7 @@ def check_theorem_ultimo(d1: DomainSample, d2: DomainSample, alpha: float,
     sup_dhat = trig_sup_abs(hat1.values - hat2.values)
     sup_dhat_prime = trig_sup_abs(hat1.derivative() - hat2.derivative())
     E = abs(L1 - L2) / P + sup_dhat / M1
-    return _chain(d1, d2, alpha, alignment, bundle, notes, (L / L1, L / L2), [
+    return _chain(d1, d2, alignment, bundle, notes, (L / L1, L / L2), [
         ("ultimo", "rescaled_arclength_gap", E, (M1 / m) * P ** 2 / p),
         ("ultimo", "pushforward_sup_gap", E ** alpha, bundle.K1),
         ("ultimo", "pushforward_derivative_gap",

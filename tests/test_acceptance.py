@@ -114,7 +114,6 @@ def test_criterion_5_theorem_sweeps():
     start = time.perf_counter()
     n = 512
     eps_values = [round(0.01 * k, 10) for k in range(1, 21)]
-    d0 = DomainSample(disk(), n)
     required_rows = {
         "pushforward_seminorm_1", "pushforward_seminorm_2",
         "log_ratio_seminorm", "arclength_gap", "pushforward_sup_gap",
@@ -124,16 +123,17 @@ def test_criterion_5_theorem_sweeps():
     seen_rows = set()
     failures = []
     for alpha in (0.5, 1.0):
+        d0 = DomainSample(disk(), n, alpha)
         for eps in eps_values:
-            d = DomainSample(perturbed_disk(eps), n)
+            d = DomainSample(perturbed_disk(eps), n, alpha)
             rows = []
-            rows += check_theorem_raggi(d, alpha)
-            rows += check_theorem_disco(d, 1 / TWO_PI, alpha)
-            rows += check_theorem_stab_gen(d, d0, alpha)
+            rows += check_theorem_raggi(d)
+            rows += check_theorem_disco(d, 1 / TWO_PI)
+            rows += check_theorem_stab_gen(d, d0)
             g1, g2 = equal_perimeter_pair(eps, n=n)
             rows += check_theorem_lugua_hausdorff(
-                DomainSample(g1, n), DomainSample(g2, n), alpha)
-            rows += check_theorem_ultimo(d, d0, alpha)
+                DomainSample(g1, n, alpha), DomainSample(g2, n, alpha))
+            rows += check_theorem_ultimo(d, d0)
             for r in rows:
                 seen_rows.add(r.row)
                 if not r.passed:
@@ -189,13 +189,13 @@ def test_criterion_7_rotation_soundness():
     def all_checks(rot):
         rows = []
         rows += check_theorem_stab_gen(DomainSample(fe.rotated(rot), n),
-                                       DomainSample(f0.rotated(rot), n), 0.5)
-        rows += check_theorem_disco(DomainSample(fe.rotated(rot), n), 1 / TWO_PI, 0.5)
-        rows += check_theorem_raggi(DomainSample(fe.rotated(rot), n), 0.5)
+                                       DomainSample(f0.rotated(rot), n))
+        rows += check_theorem_disco(DomainSample(fe.rotated(rot), n), 1 / TWO_PI)
+        rows += check_theorem_raggi(DomainSample(fe.rotated(rot), n))
         rows += check_theorem_lugua_hausdorff(DomainSample(g1.rotated(rot), n),
-                                              DomainSample(g2.rotated(rot), n), 0.5)
+                                              DomainSample(g2.rotated(rot), n))
         rows += check_theorem_ultimo(DomainSample(fe.rotated(rot), n),
-                                     DomainSample(f0.rotated(rot), n), 0.5)
+                                     DomainSample(f0.rotated(rot), n))
         return rows
 
     base = all_checks(0.0)

@@ -186,6 +186,10 @@ class TestRescale:
             assert rescaled == pytest.approx(
                 (phi.L / L) ** alpha * original, rel=1e-12)
 
+    def test_unequal_grid_sizes_refused(self):
+        with pytest.raises(InvalidInputError, match="n = 32 and 64"):
+            rescale_to_common_interval(cosine_datum(n=32, L=4.0), cosine_datum(n=64, L=6.0))
+
     def test_derivative_scaling(self):
         phi1 = cosine_datum(L=4.0)
         phi2 = cosine_datum(L=8.0)

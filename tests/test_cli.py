@@ -110,11 +110,11 @@ class TestCheckCommand:
         ("raggi", "--c"), ("stab-gen", "--c"), ("ultimo", "--c"),
         ("raggi", "--M1"), ("disco", "--M1"), ("stab-gen", "--M1"),
         ("raggi", "--p"), ("lugua", "--p"), ("disco", "--P"), ("lugua", "--P"),
-        ("raggi", "--map2"), ("disco", "--map2")])
+        ("raggi", "--map2"), ("disco", "--map2"), ("raggi", "--alignment")])
     def test_option_the_theorem_does_not_read_is_refused(self, tmp_path, disk_map, capsys,
                                                           theorem, flag):
         out = tmp_path / "o"
-        value = str(disk_map) if flag == "--map2" else "3"
+        value = {"--map2": str(disk_map), "--alignment": "optimal"}.get(flag, "3")
         assert main(["check", "--theorem", theorem, "--map", str(disk_map), flag, value,
                      "--n", "128", "--out", str(out)]) == 1
         assert f"{flag} is not read by --theorem {theorem}" in capsys.readouterr().err
@@ -372,13 +372,34 @@ class TestSweep:
         assert "n = 512 samples" in err and "under-resolved" in err
 
     @pytest.mark.parametrize("eps", ["nan:0.2:0.1", "0.1:0.2:nan", "0.1:inf:0.1",
-                                     "0.1:0.2:inf", "-1e308:1e308:1", "0:1:1e-12"])
+                                     "0.1:0.2:inf", "-1e308:1e308:1", "0:1:1e-12",
+                                     # rounded to 12 decimals, 1e-13 would run as the
+                                     # disk and 1.5e-12 as 2e-12
+                                     "1e-13:1e-13:1", "1.5e-12:1.5e-12:1"])
     def test_eps_range_that_names_nothing_is_refused(self, tmp_path, capsys, eps):
         out = tmp_path / "x"
         assert main(["sweep", "--family", "z+eps*z^2", f"--eps={eps}", "--theorem", "raggi",
                      "--n", "64", "--out", str(out)]) == 1
         assert "--eps" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    def test_eps_range_across_zero_runs_its_values(self, tmp_path):
+        # -0.3 + 3 * 0.1 is 5.6e-17: float dust that rounding sheds
+        out = tmp_path / "x"
+        assert main(["sweep", "--family", "z+eps*z^2", "--eps=-0.3:0.3:0.1",
+                     "--theorem", "raggi", "--n", "256", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+        # z + eps z^2 has centered radii 1 - eps and 1 + eps, so the gap is 2|eps|
+        gaps = [float(r[2]) for r in rows if r[1] == "radii_gap"]
+        assert gaps == pytest.approx([0.6, 0.4, 0.2, 0.0, 0.2, 0.4, 0.6], abs=1e-12)
+
+    def test_alignment_raggi_does_not_read_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.1:0.1",
+                     "--theorem", "raggi", "--alignment", "optimal", "--n", "64",
+                     "--out", str(out)]) == 1
+        assert "--alignment is not read by --theorem raggi" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_eps_range(self, tmp_path):
         assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.1-0.2",
@@ -412,6 +433,14 @@ class TestSweepComputesEachDatumOnce:
         # f and its equal-perimeter rescaling per eps, and the unit disk
         assert len(calls) == 2 * 2 + 1
         assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("theorem", ["raggi", "disco"])
+    def test_single_domain_theorem_builds_no_partner(self, tmp_path, monkeypatch, theorem):
+        calls = _count_forward_calls(monkeypatch, [
+            "sweep", "--family", "z+eps*z^2", "--eps", "0.05:0.15:0.1",
+            "--theorem", theorem, "--n", "128", "--out", str(tmp_path / "s")])
+        assert len(calls) == 2 and set(calls.values()) == {1}
+        assert (tuple(disk().coefficients), 128) not in calls
 
     def test_shared_disk_sample_filled_once_under_thread_stress(self, tmp_path,
                                                                 monkeypatch):

@@ -180,14 +180,15 @@ class TestDomainSample:
 
     def test_values_match_direct_computation(self):
         f = perturbed_disk(0.15)
-        d = DomainSample(f, 256)
-        phi = forward_operator(f, 256)
-        assert np.array_equal(d.datum.values, phi.values)
         for alpha in (0.5, 1.0):
-            assert d.seminorm(alpha) == holder_seminorm(phi.as_interval_function(), alpha)
-            assert d.norm0(alpha) == phi.holder_norm0(alpha)
-            assert d.norm1(alpha) == phi.holder_norm1(alpha)
-        assert np.array_equal(d.polyline.points, boundary_of(f, 256).points)
+            d = DomainSample(f, 256, alpha)
+            phi = forward_operator(f, 256, alpha)
+            assert d.datum.alpha == alpha
+            assert np.array_equal(d.datum.values, phi.values)
+            assert d.seminorm == holder_seminorm(phi.as_interval_function(), alpha)
+            assert d.norm0 == phi.holder_norm0()
+            assert d.norm1 == phi.holder_norm1()
+            assert np.array_equal(d.polyline.points, boundary_of(f, 256).points)
 
     def test_checks_share_one_datum_per_sample(self, monkeypatch):
         calls = Counter()
@@ -198,18 +199,16 @@ class TestDomainSample:
 
         monkeypatch.setattr(stability, "forward_operator", counting)
         d, d0 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 128)
-        check_theorem_raggi(d, 0.5)
-        check_theorem_disco(d, 1 / TWO_PI, 0.5)
-        check_theorem_stab_gen(d, d0, 0.5)
-        check_theorem_ultimo(d, d0, 0.5)
+        check_theorem_raggi(d)
+        check_theorem_disco(d, 1 / TWO_PI)
+        check_theorem_stab_gen(d, d0)
+        check_theorem_ultimo(d, d0)
         assert sorted(calls.values()) == [1, 1]
 
     def test_each_check_measures_each_seminorm_once(self, monkeypatch):
         # [phi - C]_a is the sample's [phi]_a; stab_gen measures [psi_1]_a,
         # [psi_2]_a, [h]_a and [dpsi]_a once each, ultimo [dpsi]_a
         d, d0 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 128)
-        d.fill(0.5)
-        d0.fill(0.5)
         calls = []
 
         def counting(f, alpha):
@@ -218,10 +217,10 @@ class TestDomainSample:
 
         monkeypatch.setattr(norms, "holder_seminorm", counting)
         counts = []
-        for check in (lambda: check_theorem_raggi(d, 0.5),
-                      lambda: check_theorem_disco(d, 1 / TWO_PI, 0.5),
-                      lambda: check_theorem_stab_gen(d, d0, 0.5),
-                      lambda: check_theorem_ultimo(d, d0, 0.5)):
+        for check in (lambda: check_theorem_raggi(d),
+                      lambda: check_theorem_disco(d, 1 / TWO_PI),
+                      lambda: check_theorem_stab_gen(d, d0),
+                      lambda: check_theorem_ultimo(d, d0)):
             calls.clear()
             check()
             counts.append(len(calls))
@@ -265,17 +264,31 @@ class TestDomainSample:
         assert calls == [1]
 
     def test_pair_checks_reject_mismatched_n(self):
-        d1, d2 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 256)
-        for check in (check_theorem_stab_gen, check_theorem_lugua_hausdorff,
-                      check_theorem_ultimo):
-            with pytest.raises(InvalidInputError, match="n = 128 and 256"):
-                check(d1, d2, 0.5)
+        d1 = DomainSample(perturbed_disk(0.1), 128)
+        for d2, message in ((DomainSample(disk(), 256), "n = 128 and 256"),
+                            (DomainSample(disk(), 128, 1.0), "alpha = 0.5 and 1.0")):
+            for check in (check_theorem_stab_gen, check_theorem_lugua_hausdorff,
+                          check_theorem_ultimo):
+                with pytest.raises(InvalidInputError, match=message):
+                    check(d1, d2)
+
+    @pytest.mark.parametrize("call", [
+        lambda d: check_theorem_raggi(d, 0.5),
+        lambda d: check_theorem_disco(d, 1 / TWO_PI, 0.5),
+        lambda d: check_theorem_stab_gen(d, d, 0.5),
+        lambda d: check_theorem_lugua_hausdorff(d, d, 0.5),
+        lambda d: check_theorem_ultimo(d, d, 0.5)],
+        ids=["raggi", "disco", "stab_gen", "lugua", "ultimo"])
+    def test_positional_alpha_refused(self, call):
+        # the sample fixes alpha; a positional 0.5 must not bind to the next parameter
+        with pytest.raises(TypeError):
+            call(DomainSample(disk(), 64))
 
 
 class TestStabGen:
     def test_identical_maps(self):
         d = DomainSample(perturbed_disk(0.1), 128)
-        rows = check_theorem_stab_gen(d, d, 0.5)
+        rows = check_theorem_stab_gen(d, d)
         assert [r.row for r in rows] == ["pushforward_seminorm_1", "pushforward_seminorm_2",
                                          "log_ratio_seminorm", "map_gap"]
         main = rows[-1]
@@ -285,7 +298,7 @@ class TestStabGen:
     def test_two_disks_closed_form(self):
         rho1, rho2 = 1.0, 1.05
         f1, f2 = disk(rho=rho1), disk(rho=rho2)
-        rows = check_theorem_stab_gen(DomainSample(f1, 128), DomainSample(f2, 128), 0.5)
+        rows = check_theorem_stab_gen(DomainSample(f1, 128), DomainSample(f2, 128))
         main = rows[-1]
         # constant data: sup gap |1/(2 pi rho1) - 1/(2 pi rho2)|, no seminorm
         expected_rhs = abs(1 / (TWO_PI * rho1) - 1 / (TWO_PI * rho2))
@@ -298,15 +311,15 @@ class TestStabGen:
         f0 = disk()
         for alpha in (0.5, 1.0):
             for eps in (0.05, 0.15):
-                rows = check_theorem_stab_gen(DomainSample(perturbed_disk(eps), 256),
-                                              DomainSample(f0, 256), alpha)
+                rows = check_theorem_stab_gen(DomainSample(perturbed_disk(eps), 256, alpha),
+                                              DomainSample(f0, 256, alpha))
                 assert all(r.passed for r in rows), [
                     (r.row, r.ratio) for r in rows if not r.passed]
 
     def test_optimal_alignment_recorded(self):
         d1, d2 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 128)
-        by_proof = check_theorem_stab_gen(d1, d2, 0.5)[-1]
-        by_opt = check_theorem_stab_gen(d1, d2, 0.5, alignment="optimal")[-1]
+        by_proof = check_theorem_stab_gen(d1, d2)[-1]
+        by_opt = check_theorem_stab_gen(d1, d2, alignment="optimal")[-1]
         assert by_proof.alignment == "proof"
         assert by_opt.alignment == "optimal"
         assert by_opt.passed
@@ -315,16 +328,16 @@ class TestStabGen:
 
     def test_supplied_constants_used_or_rejected(self):
         d1, d2 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 128)
-        rows = check_theorem_stab_gen(d1, d2, 0.5, m=0.01, M0=5.0)
+        rows = check_theorem_stab_gen(d1, d2, m=0.01, M0=5.0)
         assert rows[-1].m == 0.01 and rows[-1].M0 == 5.0
-        rows = check_theorem_stab_gen(d1, d2, 0.5, m=0.5)
+        rows = check_theorem_stab_gen(d1, d2, m=0.5)
         assert rows[-1].m < 0.5  # measured fallback
         assert "violated" in rows[-1].notes
 
     def test_fallback_note_on_every_row(self):
         # the seminorm rows use the same fallback m as map_gap
         rows = check_theorem_stab_gen(DomainSample(perturbed_disk(0.1), 128),
-                                      DomainSample(disk(), 128), 0.5, m=0.5)
+                                      DomainSample(disk(), 128), m=0.5)
         assert [r.row for r in rows] == ["pushforward_seminorm_1", "pushforward_seminorm_2",
                                          "log_ratio_seminorm", "map_gap"]
         assert len({(r.m, r.notes) for r in rows}) == 1
@@ -334,8 +347,7 @@ class TestStabGen:
 class TestDisco:
     def test_fixed_point(self):
         C = 1 / TWO_PI
-        rows = check_theorem_disco(DomainSample(disk_for_constant(C, gamma=0.4), 128),
-                                   C, 0.5)
+        rows = check_theorem_disco(DomainSample(disk_for_constant(C, gamma=0.4), 128), C)
         assert rows[0].lhs <= 1e-12
         assert rows[0].passed
 
@@ -343,26 +355,26 @@ class TestDisco:
         C = 1 / TWO_PI
         ratios = []
         for eps in (0.02, 0.05, 0.1, 0.2):
-            rows = check_theorem_disco(DomainSample(perturbed_disk(eps), 256), C, 0.5)
+            rows = check_theorem_disco(DomainSample(perturbed_disk(eps), 256), C)
             assert all(r.passed for r in rows)
             ratios.append(rows[0].ratio)
         # diagnostic only: the tightness profile is logged, not asserted
         print("disco tightness vs eps:", ratios)
 
     def test_constant_outside_class_noted(self):
-        rows = check_theorem_disco(DomainSample(perturbed_disk(0.05), 128), 5.0, 0.5)
+        rows = check_theorem_disco(DomainSample(perturbed_disk(0.05), 128), 5.0)
         assert "outside" in rows[0].notes
 
 
 class TestRaggi:
     def test_disk(self):
-        rows = check_theorem_raggi(DomainSample(disk(rho=0.8), 128), 0.5)
+        rows = check_theorem_raggi(DomainSample(disk(rho=0.8), 128))
         assert rows[0].row == "radii_gap"
         assert rows[0].lhs <= 1e-12
         assert all(r.passed for r in rows)
 
     def test_quadratic_closed_form(self):
-        rows = check_theorem_raggi(DomainSample(perturbed_disk(0.1), 1024), 0.5)
+        rows = check_theorem_raggi(DomainSample(perturbed_disk(0.1), 1024))
         main = rows[0]
         assert main.lhs == pytest.approx(0.2, abs=1e-6)
         # C = 1/(2 pi rho) with rho = 0.9 enters through L2 = 1/C
@@ -372,21 +384,21 @@ class TestRaggi:
     def test_sweep_ratio_bounded(self):
         ratios = []
         for eps in (0.05, 0.1, 0.15, 0.2):
-            rows = check_theorem_raggi(DomainSample(perturbed_disk(eps), 256), 0.5)
+            rows = check_theorem_raggi(DomainSample(perturbed_disk(eps), 256))
             assert all(r.passed for r in rows)
             ratios.append(rows[0].ratio)
         assert max(ratios) <= 1.0  # comfortably inside the bound
 
 
-def lugua_inputs(eps, n=256):
+def lugua_inputs(eps, n=256, alpha=0.5):
     f1, f2 = equal_perimeter_pair(eps, n=n)
-    return DomainSample(f1, n), DomainSample(f2, n)
+    return DomainSample(f1, n, alpha), DomainSample(f2, n, alpha)
 
 
 class TestLuguaHausdorff:
     def test_equal_data_trivial(self):
         d1, d2 = lugua_inputs(0.0)
-        rows = check_theorem_lugua_hausdorff(d1, d2, 0.5)
+        rows = check_theorem_lugua_hausdorff(d1, d2)
         assert [r.row for r in rows] == [
             "arclength_gap", "pushforward_sup_gap", "seminorm_from_derivative",
             "pushforward_derivative_gap", "map_gap", "hausdorff"]
@@ -395,14 +407,14 @@ class TestLuguaHausdorff:
 
     def test_perturbed_pair_passes(self):
         for alpha in (0.5, 1.0):
-            d1, d2 = lugua_inputs(0.1)
-            rows = check_theorem_lugua_hausdorff(d1, d2, alpha)
+            d1, d2 = lugua_inputs(0.1, alpha=alpha)
+            rows = check_theorem_lugua_hausdorff(d1, d2)
             assert all(r.passed for r in rows), [
                 (r.row, r.ratio) for r in rows if not r.passed]
 
     def test_hausdorff_row_matches_geometry(self):
         d1, d2 = lugua_inputs(0.12)
-        rows = check_theorem_lugua_hausdorff(d1, d2, 0.5)
+        rows = check_theorem_lugua_hausdorff(d1, d2)
         d = hausdorff_distance(boundary_of(d1.f, d1.n), boundary_of(d2.f, d1.n))
         # proof alignment leaves the disk partner in place here (gamma = 0)
         assert rows[-1].lhs == pytest.approx(d, abs=1e-12)
@@ -411,14 +423,14 @@ class TestLuguaHausdorff:
         n = 128
         d1, d2 = DomainSample(perturbed_disk(0.1), n), DomainSample(disk(), n)
         with pytest.raises(InvalidInputError, match="ultimo"):
-            check_theorem_lugua_hausdorff(d1, d2, 0.5)
+            check_theorem_lugua_hausdorff(d1, d2)
 
 
 class TestUltimo:
     def test_equal_perimeters_reduce_to_lugua(self):
         d1, d2 = lugua_inputs(0.1)
-        lugua = check_theorem_lugua_hausdorff(d1, d2, 0.5)
-        ultimo = check_theorem_ultimo(d1, d2, 0.5)
+        lugua = check_theorem_lugua_hausdorff(d1, d2)
+        ultimo = check_theorem_ultimo(d1, d2)
         by_row_l = {r.row: r for r in lugua}
         by_row_u = {r.row: r for r in ultimo}
         pairs = [("arclength_gap", "rescaled_arclength_gap"),
@@ -434,7 +446,7 @@ class TestUltimo:
         n = 256
         rho1, rho2 = 1.0, 1.05
         d1, d2 = DomainSample(disk(rho=rho1), n), DomainSample(disk(rho=rho2), n)
-        rows = check_theorem_ultimo(d1, d2, 0.5)
+        rows = check_theorem_ultimo(d1, d2)
         by_row = {r.row: r for r in rows}
         L1, L2 = TWO_PI * rho1, TWO_PI * rho2
         M1 = 1 / (TWO_PI * rho1)  # the larger of the two constant data norms
@@ -449,15 +461,15 @@ class TestUltimo:
     def test_perturbed_pair_passes(self):
         n = 256
         for alpha in (0.5, 1.0):
-            d1, d2 = DomainSample(perturbed_disk(0.15), n), DomainSample(disk(), n)
-            rows = check_theorem_ultimo(d1, d2, alpha)
+            d1, d2 = DomainSample(perturbed_disk(0.15), n, alpha), DomainSample(disk(), n, alpha)
+            rows = check_theorem_ultimo(d1, d2)
             assert all(r.passed for r in rows), [
                 (r.row, r.ratio) for r in rows if not r.passed]
 
     def test_hypothesis_perimeter_bounds_fall_back(self):
         n = 128
         d1, d2 = DomainSample(perturbed_disk(0.1), n), DomainSample(disk(), n)
-        rows = check_theorem_ultimo(d1, d2, 0.5, p=7.0)
+        rows = check_theorem_ultimo(d1, d2, p=7.0)
         assert "violated" in rows[0].notes
         assert all(r.passed for r in rows)
 
@@ -473,11 +485,11 @@ class TestRotationSoundness:
         rng = np.random.default_rng(17)
         f1 = perturbed_disk(0.12)
         f2 = disk()
-        base = check_theorem_stab_gen(DomainSample(f1, 128), DomainSample(f2, 128), 0.5)
+        base = check_theorem_stab_gen(DomainSample(f1, 128), DomainSample(f2, 128))
         for _ in range(5):
             delta = float(rng.uniform(0, TWO_PI))
             rows = check_theorem_stab_gen(DomainSample(f1.rotated(delta), 128),
-                                          DomainSample(f2.rotated(delta), 128), 0.5)
+                                          DomainSample(f2.rotated(delta), 128))
             for r0, r1 in zip(base, rows):
                 assert np.max(np.abs(_report_fields(r0) - _report_fields(r1))) <= 1e-9
 
@@ -487,7 +499,7 @@ class TestRefinementSoundness:
         f = perturbed_disk(0.15)
         for n in (128, 256):
             d = DomainSample(f, n)
-            rows = check_theorem_stab_gen(d, DomainSample(disk(), n), 0.5)
-            rows += check_theorem_raggi(d, 0.5)
-            rows += check_theorem_disco(d, 1 / TWO_PI, 0.5)
+            rows = check_theorem_stab_gen(d, DomainSample(disk(), n))
+            rows += check_theorem_raggi(d)
+            rows += check_theorem_disco(d, 1 / TWO_PI)
             assert all(r.passed for r in rows)
