@@ -61,10 +61,23 @@ def _power_sum(coeffs: np.ndarray, z) -> np.ndarray:
 def _synthesize(coeffs: np.ndarray, step: float, x, first: int = 0) -> np.ndarray:
     """Re sum_k coeffs[k] * z**(first + k) with z = exp(1j*step*x): one exp
     per point, then the blocked power sum, in memory linear in the number of
-    points."""
+    points.
+
+    The sum stops at the rounding plateau: it keeps the leading coefficients
+    up to the last one whose modulus exceeds eps * max|c| (one term if all
+    are zero), as in the chopping rule of Aurentz & Trefethen (ACM TOMS 2017).
+    As |z| = 1, the K - k terms left out change the sum by at most their l1
+    mass, at most (K - k) * eps * max|c|, which is within the rounding bound
+    the full K-term sum already carries.  A spectrum without a plateau keeps
+    every term (white noise), or all but the last few (the k-weighted
+    coefficients of a derivative).
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.exp(1j * step * x)
-    return (_power_sum(coeffs, z) * z ** first).real
+    modulus = np.abs(coeffs)
+    above = np.flatnonzero(modulus > np.finfo(float).eps * modulus.max())
+    kept = above[-1] + 1 if above.size else 1
+    return (_power_sum(coeffs[:kept], z) * z ** first).real
 
 
 class TrigInterpolant:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,6 +365,39 @@ class TestForwardOperator:
         assert np.allclose(sf, sg, atol=1e-12)
         assert np.allclose(forward_operator(f, n).values,
                            forward_operator(g, n).values, atol=1e-12)
+
+
+def elliptic_datum(eps, n, nodes):
+    """The datum of z + eps z^2 at the uniform arclength nodes s_j = j L / n,
+    in 30 digits.
+
+    |f'(e^{i t})| = sqrt(1 + 4 eps^2 + 4 eps cos t), so with m = 8 eps/(1 + 2 eps)^2
+    the arclength is s(t) = 2 (1 + 2 eps) E(t/2 | m) and L = 4 (1 + 2 eps) E(m),
+    elliptic integrals of the second kind; s(t_j) = s_j is solved by findroot.
+    """
+    with mpmath.workdps(30):
+        e = mpmath.mpf(eps)
+        a = 1 + 2 * e
+        m = 8 * e / a ** 2
+        L = 4 * a * mpmath.ellipe(m)
+        values = []
+        for j in nodes:
+            target = L * int(j) / n
+            t = mpmath.findroot(lambda t: 2 * a * mpmath.ellipe(t / 2, m) - target,
+                                2 * mpmath.pi * int(j) / n)
+            speed = mpmath.sqrt(1 + 4 * e ** 2 + 4 * e * mpmath.cos(t))
+            values.append(float(1 / (2 * mpmath.pi * speed)))
+    return np.array(values)
+
+
+class TestDatumOracle:
+    @pytest.mark.parametrize("eps, n", [(0.1, 512), (0.3, 1024), (0.45, 4096)])
+    def test_values_match_elliptic_arclength(self, eps, n):
+        # 32 nodes, one in each n/32 stretch of the grid
+        nodes = np.arange(32) * (n // 32) + np.random.default_rng(n).integers(0, n // 32, 32)
+        ref = elliptic_datum(eps, n, nodes)
+        phi = forward_operator(perturbed_disk(eps), n)
+        assert np.max(np.abs(phi.values[nodes] - ref) / ref) <= 1e-14
 
 
 class TestFamilies:

@@ -1,4 +1,5 @@
-"""Trig synthesis against an mpmath direct sum, and the monotone inversion.
+"""Trig synthesis against an mpmath direct sum, its cut at the rounding
+plateau, and the monotone inversion.
 
 The reference evaluates the trigonometric polynomial defined by the float64
 rfft coefficients exactly (phases 2*pi*k*x/period in 40-digit arithmetic), so
@@ -121,6 +122,63 @@ class TestSynthesisShapes:
         interp = TrigInterpolant(values, PERIOD)
         nodes = np.arange(512) * (PERIOD / 512)
         assert np.max(np.abs(interp(nodes) - values)) <= 1e-12 * np.max(np.abs(values))
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.fixture
+def kept_lengths(monkeypatch):
+    """The coefficient count of every power sum that `_synthesize` makes."""
+    power_sum, sizes = _spectral._power_sum, []
+
+    def spy(coeffs, z):
+        sizes.append(coeffs.size)
+        return power_sum(coeffs, z)
+
+    monkeypatch.setattr(_spectral, "_power_sum", spy)
+    return sizes
+
+
+class TestPlateauCut:
+    """`_synthesize` sums the coefficients up to the last one above eps * max|c|."""
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_white_noise_keeps_every_term(self, first, kept_lengths):
+        rng = np.random.default_rng(7)
+        c = rng.standard_normal(1025) + 1j * rng.standard_normal(1025)
+        x = points(2048)
+        step = 2 * np.pi / PERIOD
+        got = _spectral._synthesize(c, step, x, first=first)
+        assert kept_lengths == [c.size]
+        z = np.exp(1j * step * x)
+        assert np.array_equal(got, (_spectral._power_sum(c, z) * z ** first).real)
+
+    @pytest.mark.parametrize("r", [0.7, 0.9])
+    def test_geometric_spectrum_stops_at_eps(self, r, kept_lengths):
+        # c_k = r**k with max|c| = 1: the terms above eps are k < log(eps)/log(r)
+        bound = np.log(EPS) / np.log(r)
+        assert 1e-3 < bound % 1 < 1 - 1e-3    # far from a tie at the cut
+        c = r ** np.arange(1025) + 0j
+        x = points(2048)
+        got = _spectral._synthesize(c, 2 * np.pi / PERIOD, x)
+        kept = int(np.ceil(bound))
+        assert kept_lengths == [kept]
+        full = _spectral._power_sum(c, np.exp(2j * np.pi * x / PERIOD)).real
+        dropped = np.sum(np.abs(c[kept:]))
+        # both float sums also carry their own rounding, a few ulps of sum|c|
+        assert np.max(np.abs(got - full)) <= dropped + 4 * EPS * np.sum(np.abs(c))
+
+    def test_all_zero_coefficients_keep_one_term(self, kept_lengths):
+        got = _spectral._synthesize(np.zeros(513, dtype=complex), 1.0, points(1024), first=1)
+        assert kept_lengths == [1]
+        assert np.array_equal(got, np.zeros(12))
+
+    def test_scalar_point(self):
+        c = 0.5 ** np.arange(257) + 0j
+        got = _spectral._synthesize(c, 1.0, 0.3)
+        assert np.array_equal(got, _spectral._synthesize(c, 1.0, np.array([0.3])))
+        assert got[0] == pytest.approx((1 / (1 - 0.5 * np.exp(0.3j))).real, abs=1e-14)
 
 
 def positive_cumulative(n=512):
