@@ -32,10 +32,6 @@ from .geometry import (boundary_of, hausdorff_discretization_bound,
 from .norms import _check_alpha
 from .reconstruct import reconstruct_fprime, roundtrip_error
 
-THEOREMS = ("raggi", "disco", "stab-gen", "lugua", "ultimo")
-# the check options that only some theorems read, by dest, with those theorems
-_THEOREM_OPTIONS = {"c": ("disco",), "M1": ("lugua", "ultimo"), "p": ("ultimo",),
-                    "P": ("ultimo",), "map2": ("stab-gen", "lugua", "ultimo")}
 _ALIGNMENTS = ("proof", "optimal")
 _MAX_EPS_STEPS = 10 ** 6  # a longer --eps range is refused before it is listed
 
@@ -86,7 +82,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     add("--map2")
 
     add = command("check", "run one stability-inequality check", alpha=True)
-    add("--theorem", choices=THEOREMS)
+    add("--theorem", choices=tuple(stability.THEOREMS))
     add("--map")
     add("--map2")
     add("--c", type=float, help="constant datum for the disk comparison (default: 1/L)")
@@ -98,7 +94,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                   alpha=True, emit_plots=True)
     add("--family", help="'z+eps*z^k' or 'disk'")
     add("--eps", help="range start:stop:step")
-    add("--theorem", choices=THEOREMS + ("all",))
+    add("--theorem", choices=(*stability.THEOREMS, "all"))
     add("--alignment", choices=_ALIGNMENTS, default="proof")
     add("--jobs", type=int, default=1, help="worker threads (default: 1)")
     return parser, commands
@@ -119,7 +115,9 @@ def _check_finite(x: float | None, name: str) -> None:
         raise InvalidInputError(f"{name} must be finite, got {x}")
 
 
-def _parse_point(text: str, flag: str) -> complex:
+def _parse_point(text: str | None, flag: str) -> complex | None:
+    if text is None:
+        return None
     try:
         re_part, im_part = (float(p) for p in text.split(","))
     except Exception:
@@ -129,15 +127,10 @@ def _parse_point(text: str, flag: str) -> complex:
     return complex(re_part, im_part)
 
 
-def _check_point(text: str | None, name: str) -> None:
-    if text is not None:
-        _parse_point(text, name)
-
-
 # the range rule of each option that has one, by dest; ``name`` spells the
 # option in the error as it was given (a flag, or a config key)
 _RANGES = {"n": _check_n, "alpha": _check_alpha, "jobs": _check_jobs,
-           "zeta_o": _check_point, "zeta_b": _check_point,
+           "zeta_o": _parse_point, "zeta_b": _parse_point,
            **dict.fromkeys(("c", "m", "M0", "M1", "p", "P"), _check_finite)}
 
 
@@ -251,51 +244,35 @@ def _cmd_hausdorff(args) -> int:
     return 0
 
 
-def _run_checks(theorem: str, d, partner, alignment: str, overrides: dict, C: float | None):
-    """One theorem's reports for the sample ``d``; the pair theorems compare
-    it with ``partner``, lugua after scaling d's map to the partner's
-    perimeter."""
-    m, M0, M1 = (overrides.get(k) for k in ("m", "M0", "M1"))
-    if theorem == "raggi":
-        return stability.check_theorem_raggi(d, m=m, M0=M0)
-    if theorem == "disco":
-        constant = C if C is not None else 1.0 / d.datum.L
-        return stability.check_theorem_disco(d, constant, alignment=alignment, m=m, M0=M0)
-    if theorem == "stab-gen":
-        return stability.check_theorem_stab_gen(d, partner, alignment=alignment, m=m, M0=M0)
-    if theorem == "lugua":
-        scaled = d.f.scaled(partner.datum.L / d.datum.L)
-        return stability.check_theorem_lugua_hausdorff(
-            stability.DomainSample(scaled, d.n, d.alpha), partner, alignment=alignment,
-            m=m, M0=M0, M1=M1)
-    if theorem == "ultimo":
-        return stability.check_theorem_ultimo(
-            d, partner, alignment=alignment, m=m, M0=M0, M1=M1,
-            p=overrides.get("p"), P=overrides.get("P"))
-    raise InvalidInputError(f"unknown theorem selector {theorem!r}")
+def _theorems(args, defaults: dict) -> list:
+    """The table entries that --theorem selects.  An option off its parser
+    default that some theorem reads is refused when none of these does."""
+    theorems = (list(stability.THEOREMS.values()) if args.theorem == "all"
+                else [stability.THEOREMS[args.theorem]])
+    read = {dest for theorem in theorems for dest in theorem.options}
+    for dest, default in defaults.items():
+        if getattr(args, dest) != default and dest not in read and any(
+                dest in theorem.options for theorem in stability.THEOREMS.values()):
+            raise InvalidInputError(f"--{dest} is not read by --theorem {args.theorem}")
+    return theorems
 
 
-def _refuse_unread_alignment(theorem: str, alignment: str) -> None:
-    """raggi takes its radii about the base point, as the proof does, so it
-    reads no alignment."""
-    if theorem == "raggi" and alignment != "proof":
-        raise InvalidInputError("--alignment is not read by --theorem raggi")
+def _reports(theorems, d, partner, args) -> list:
+    """The theorems' reports on d and its partner, each given the options it reads."""
+    given = vars(args)
+    return [r for t in theorems for r in t.run(
+        d, partner, **{k: given[k] for k in given.keys() & {"m", "M0", *t.options} - {"map2"}})]
 
 
 def _cmd_check(args) -> int:
     if args.theorem is None:
         raise InvalidInputError("missing required option --theorem")
-    for dest, theorems in _THEOREM_OPTIONS.items():
-        if getattr(args, dest) is not None and args.theorem not in theorems:
-            raise InvalidInputError(f"--{dest} is not read by --theorem {args.theorem}")
-    _refuse_unread_alignment(args.theorem, args.alignment)
     d = stability.DomainSample(load_map(_require_file(args.map, "--map")), args.n, args.alpha)
-    partner = None
-    if args.theorem in _THEOREM_OPTIONS["map2"]:
-        f2 = load_map(_require_file(args.map2, "--map2")) if args.map2 else disk()
+    partner = None  # without --map2, the unit disk at the map's base point
+    if any("map2" in t.options for t in args.theorems):
+        f2 = load_map(_require_file(args.map2, "--map2")) if args.map2 else disk(zeta_o=d.f.zeta_o)
         partner = stability.DomainSample(f2, args.n, args.alpha)
-    overrides = {k: getattr(args, k) for k in ("m", "M0", "M1", "p", "P")}
-    reports = _run_checks(args.theorem, d, partner, args.alignment, overrides, args.c)
+    reports = _reports(args.theorems, d, partner, args)
     write_atomic(Path(args.out) / "report.csv", stability.reports_to_csv(reports))
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -336,16 +313,13 @@ def _cmd_sweep(args) -> int:
         raise InvalidInputError("sweep needs --family, --eps and --theorem")
     family = parse_family(args.family)
     eps_values = _parse_eps_range(args.eps)
-    theorems = list(THEOREMS) if args.theorem == "all" else [args.theorem]
-    _refuse_unread_alignment(args.theorem, args.alignment)
     partner = None  # the pair theorems' partner at every eps
-    if set(theorems) & set(_THEOREM_OPTIONS["map2"]):
+    if any("map2" in t.options for t in args.theorems):
         partner = stability.DomainSample(disk(), args.n, args.alpha)
 
     def reports_at(eps):
-        d = stability.DomainSample(family(eps), args.n, args.alpha)
-        return [r for theorem in theorems
-                for r in _run_checks(theorem, d, partner, args.alignment, {}, None)]
+        return _reports(args.theorems, stability.DomainSample(family(eps), args.n, args.alpha),
+                        partner, args)
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(reports_at, eps_values))  # in eps order, whatever the scheduling
@@ -354,44 +328,35 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     write_atomic(out / "sweep.csv", stability.reports_to_csv(reports))
     if args.emit_plots:
-        main_rows = {"raggi": ("raggi", "radii_gap"),
-                     "disco": ("disco", "map_gap_vs_disk"),
-                     "stab-gen": ("stab_gen", "map_gap"),
-                     "lugua": ("lugua", "map_gap"),
-                     "ultimo": ("ultimo", "map_gap")}
-        for theorem_name in theorems:
-            want_theorem, want_row = main_rows[theorem_name]
-            series = [(eps, r.ratio) for eps, rows in zip(eps_values, results)
-                      for r in rows if r.theorem == want_theorem and r.row == want_row]
-            if series:
-                write_csv(out / f"ratio_{want_theorem}.csv", "eps,ratio", series)
+        for t in args.theorems:
+            write_csv(out / f"ratio_{t.headline[0]}.csv", "eps,ratio",
+                      [(eps, r.ratio) for eps, rows in zip(eps_values, results)
+                       for r in rows if (r.theorem, r.row) == t.headline])
     all_pass = all(r.passed for r in reports)
     print(f"sweep: {len(reports)} rows, "
           f"{'all pass' if all_pass else 'FAILURES present'}")
     return 0 if all_pass else 2
 
 
-_HANDLERS = {
-    "forward": _cmd_forward,
-    "invert": _cmd_invert,
-    "roundtrip": _cmd_roundtrip,
-    "hausdorff": _cmd_hausdorff,
-    "check": _cmd_check,
-    "sweep": _cmd_sweep,
-}
+_HANDLERS = {"forward": _cmd_forward, "invert": _cmd_invert, "roundtrip": _cmd_roundtrip,
+             "hausdorff": _cmd_hausdorff, "check": _cmd_check, "sweep": _cmd_sweep}
 
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
+        subparser, actions = commands[args.command]
+        # read before a config file's values become the parser's defaults
+        defaults = {dest: action.default for dest, action in actions.items()}
         if args.config:
-            subparser, actions = commands[args.command]
             subparser.set_defaults(**_read_config(Path(args.config), args.command, actions))
             args = parser.parse_args(argv)  # flags override the file's defaults
         for dest, check in _RANGES.items():
             if dest in vars(args):
                 check(getattr(args, dest), "--" + dest.replace("_", "-"))
+        if getattr(args, "theorem", None) is not None:  # check and sweep
+            args.theorems = _theorems(args, defaults)
         return _HANDLERS[args.command](args)
     except (GreenreconError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ Measurement conventions
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -432,13 +433,14 @@ def _constant_gap_row(theorem: str, row: str, lhs: float, d: DomainSample,
         L1=phi.L, L2=1.0 / C, alpha=d.alpha, notes="; ".join(notes))
 
 
-def check_theorem_disco(d: DomainSample, C: float, *,
+def check_theorem_disco(d: DomainSample, C: float | None = None, *,
                         alignment: str = "proof", m: float | None = None,
                         M0: float | None = None) -> list[StabilityReport]:
-    """Distance of a map from the constant-datum disk map with datum C,
-    bounded through the Holder norm of datum - C on the arclength interval."""
-    if not C > 0:
-        raise InvalidInputError("constant datum must be positive")
+    """Distance of a map from the constant-datum disk map with datum C
+    (default 1/L, the disk of the map's perimeter), bounded through the
+    Holder norm of datum - C on the arclength interval."""
+    if C is None:
+        C = 1.0 / d.datum.L
     _, f_C = align_rotation(d.f, disk_for_constant(C, zeta_o=d.f.zeta_o),
                             mode=alignment, n=d.n)
     return [_constant_gap_row("disco", "map_gap_vs_disk", c1_gap(d.f, f_C, d.n),
@@ -544,3 +546,33 @@ def check_theorem_ultimo(d1: DomainSample, d2: DomainSample, *,
         ("ultimo", "map_gap", E ** alpha + sup_dhat_prime, bundle.K_ultimo),
         ("ultimo", "hausdorff", (sup_dhat + abs(L1 - L2)) ** alpha + sup_dhat_prime,
          bundle.K_corollary)])
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """How ``check`` and ``sweep`` run one check: ``run(d, partner, **options)``
+    gives its reports (partner None for a single-domain theorem), ``options``
+    names the CLI options it reads besides m and M0, by dest ("map2", the
+    partner, marks a pair theorem), and ``headline`` is the (theorem, row) a sweep plots."""
+
+    run: Callable[..., list[StabilityReport]]
+    options: tuple[str, ...]
+    headline: tuple[str, str]
+
+
+# by --theorem selector; each run looks its check up in this module when it
+# runs, so a rebound check_theorem_* is the one called
+THEOREMS = {
+    "raggi": Theorem(lambda d, _, **kw: check_theorem_raggi(d, **kw),
+                     (), ("raggi", "radii_gap")),
+    "disco": Theorem(lambda d, _, c=None, **kw: check_theorem_disco(d, c, **kw),
+                     ("c", "alignment"), ("disco", "map_gap_vs_disk")),
+    "stab-gen": Theorem(lambda d, d2, **kw: check_theorem_stab_gen(d, d2, **kw),
+                        ("map2", "alignment"), ("stab_gen", "map_gap")),
+    # lugua wants equal perimeters, so d's map is scaled to the partner's
+    "lugua": Theorem(lambda d, d2, **kw: check_theorem_lugua_hausdorff(
+        DomainSample(d.f.scaled(d2.datum.L / d.datum.L), d.n, d.alpha), d2, **kw),
+        ("map2", "alignment", "M1"), ("lugua", "map_gap")),
+    "ultimo": Theorem(lambda d, d2, **kw: check_theorem_ultimo(d, d2, **kw),
+                      ("map2", "alignment", "M1", "p", "P"), ("ultimo", "map_gap")),
+}

@@ -7,6 +7,7 @@ import pytest
 
 from greenrecon import cli, stability
 from greenrecon.cli import main
+from greenrecon.conformal import ConformalMap
 from greenrecon.families import disk, perturbed_disk
 from greenrecon.files import load_boundary_data, load_map, save_map
 
@@ -457,3 +458,84 @@ class TestSweepComputesEachDatumOnce:
             sys.setswitchinterval(interval)
         assert len(calls) == 16 + 1
         assert set(calls.values()) == {1}
+
+
+def _unread(command):
+    """(theorem, dest) for each option of the command that some theorem reads
+    and that theorem does not."""
+    actions = cli._build_parser()[1][command][1]
+    read = {dest for theorem in stability.THEOREMS.values() for dest in theorem.options}
+    return [(name, dest) for name, theorem in stability.THEOREMS.items()
+            for dest in sorted(read - set(theorem.options)) if dest in actions]
+
+
+# a valid value for each option a theorem reads but --map2, which takes a map file
+_VALUES = {"alignment": "optimal", "c": "0.2", "M1": "3", "p": "3", "P": "8"}
+
+
+class TestTheoremTable:
+    def test_theorem_choices_are_the_table_keys(self):
+        commands = cli._build_parser()[1]
+        assert commands["check"][1]["theorem"].choices == tuple(stability.THEOREMS)
+        assert commands["sweep"][1]["theorem"].choices == (*stability.THEOREMS, "all")
+
+    @pytest.mark.parametrize("command, theorem, dest",
+                             [("check", *pair) for pair in _unread("check")]
+                             + [("sweep", *pair) for pair in _unread("sweep")])
+    def test_option_no_selected_theorem_reads_is_refused(self, tmp_path, disk_map, capsys,
+                                                          command, theorem, dest):
+        out = tmp_path / "o"
+        argv = {"check": ["check", "--map", str(disk_map)],
+                "sweep": ["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.1:0.1"]}[command]
+        assert main(argv + ["--theorem", theorem, f"--{dest}", _VALUES.get(dest, str(disk_map)),
+                            "--n", "64", "--out", str(out)]) == 1
+        assert f"--{dest} is not read by --theorem {theorem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theorem, dest", [(name, dest)
+                                               for name, t in stability.THEOREMS.items()
+                                               for dest in t.options])
+    def test_option_the_theorem_reads_is_accepted(self, tmp_path, disk_map, theorem, dest):
+        out = tmp_path / "o"
+        assert main(["check", "--map", str(disk_map), "--theorem", theorem, f"--{dest}",
+                     _VALUES.get(dest, str(disk_map)), "--n", "64", "--out", str(out)]) == 0
+        assert (out / "report.csv").exists()
+
+    def test_config_value_is_refused_and_a_default_flag_is_not(self, tmp_path, disk_map,
+                                                                capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[check]\ntheorem = raggi\nmap = {disk_map}\nn = 64\n"
+                       f"alignment = optimal\nout = {tmp_path / 'o'}\n")
+        assert main(["check", "--config", str(cfg)]) == 1
+        assert "--alignment is not read by --theorem raggi" in capsys.readouterr().err
+        # the flag wins over the file and is at the parser default
+        assert main(["check", "--config", str(cfg), "--alignment", "proof"]) == 0
+
+    def test_sweep_plots_every_headline_ratio(self, tmp_path):
+        out = tmp_path / "s"
+        assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.05:0.15:0.05",
+                     "--theorem", "all", "--n", "64", "--emit-plots", "--out", str(out)]) == 0
+        names = {f"ratio_{t.headline[0]}.csv" for t in stability.THEOREMS.values()}
+        assert len(names) == 5
+        assert {path.name for path in out.glob("ratio_*.csv")} == names
+        for name in names:
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == "eps,ratio"
+            assert [float(line.split(",")[0]) for line in lines[1:]] == [0.05, 0.1, 0.15]
+
+    @pytest.mark.parametrize("theorem", [name for name, t in stability.THEOREMS.items()
+                                         if "map2" in t.options])
+    def test_default_partner_sits_at_the_base_point(self, tmp_path, theorem):
+        rows = []
+        for i, zeta_o in enumerate((0.3 + 0.2j, 0j)):
+            path, out = tmp_path / f"f{i}.map", tmp_path / f"o{i}"
+            save_map(path, ConformalMap([zeta_o, 1, 0.1]))
+            assert main(["check", "--theorem", theorem, "--map", str(path), "--n", "128",
+                         "--out", str(out)]) == 0
+            rows.append([line.split(",") for line in
+                         (out / "report.csv").read_text().splitlines()[1:]])
+        moved, origin = rows
+        assert [r[:2] for r in moved] == [r[:2] for r in origin]
+        for a, b in zip(moved, origin):
+            for i in (2, 3, 4):  # lhs, rhs, K
+                assert float(a[i]) == pytest.approx(float(b[i]), rel=1e-14, abs=0)

@@ -365,6 +365,10 @@ class TestDisco:
         rows = check_theorem_disco(DomainSample(perturbed_disk(0.05), 128), 5.0)
         assert "outside" in rows[0].notes
 
+    def test_default_constant_is_one_over_the_perimeter(self):
+        d = DomainSample(perturbed_disk(0.1), 128)
+        assert check_theorem_disco(d) == check_theorem_disco(d, 1 / d.datum.L)
+
 
 class TestRaggi:
     def test_disk(self):
@@ -503,3 +507,32 @@ class TestRefinementSoundness:
             rows += check_theorem_raggi(d)
             rows += check_theorem_disco(d, 1 / TWO_PI)
             assert all(r.passed for r in rows)
+
+
+class TestTheoremTable:
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 128)
+
+    def test_each_check_is_run_by_exactly_one_entry(self, samples, monkeypatch):
+        checks = [name for name in dir(stability) if name.startswith("check_theorem_")]
+        called = []
+
+        def recorder(name):
+            return lambda *args, **kwargs: called.append(name) or []
+
+        for name in checks:
+            monkeypatch.setattr(stability, name, recorder(name))
+        runs = {}
+        for selector, theorem in stability.THEOREMS.items():
+            called.clear()
+            theorem.run(*samples)
+            runs[selector], = called  # looked up in the module when it runs
+        assert sorted(runs.values()) == sorted(checks)
+
+    @pytest.mark.parametrize("selector", list(stability.THEOREMS))
+    def test_headline_row_is_reported(self, samples, selector):
+        theorem = stability.THEOREMS[selector]
+        rows = theorem.run(*samples)
+        assert theorem.headline in {(r.theorem, r.row) for r in rows}
+        assert all(r.passed for r in rows)
