@@ -58,26 +58,26 @@ def _power_sum(coeffs: np.ndarray, z) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def _synthesize(coeffs: np.ndarray, step: float, x, first: int = 0) -> np.ndarray:
-    """Re sum_k coeffs[k] * z**(first + k) with z = exp(1j*step*x): one exp
-    per point, then the blocked power sum, in memory linear in the number of
-    points.
-
-    The sum stops at the rounding plateau: it keeps the leading coefficients
-    up to the last one whose modulus exceeds eps * max|c| (one term if all
-    are zero), as in the chopping rule of Aurentz & Trefethen (ACM TOMS 2017).
-    As |z| = 1, the K - k terms left out change the sum by at most their l1
-    mass, at most (K - k) * eps * max|c|, which is within the rounding bound
-    the full K-term sum already carries.  A spectrum without a plateau keeps
-    every term (white noise), or all but the last few (the k-weighted
-    coefficients of a derivative).
+def _chopped(coeffs: np.ndarray) -> np.ndarray:
+    """The leading coefficients up to the last one whose modulus exceeds
+    eps * max|c| (one term if all are zero): the rounding-plateau cut of
+    Aurentz & Trefethen (ACM TOMS 2017).  On |z| = 1 the K - k terms left out
+    move a power sum by at most (K - k) * eps * max|c|, within the rounding
+    bound of the full sum.  A spectrum without a plateau keeps every term
+    (white noise), or all but the last few (a derivative's k-weighted ones).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.exp(1j * step * x)
     modulus = np.abs(coeffs)
     above = np.flatnonzero(modulus > np.finfo(float).eps * modulus.max())
-    kept = above[-1] + 1 if above.size else 1
-    return (_power_sum(coeffs[:kept], z) * z ** first).real
+    return coeffs[: above[-1] + 1 if above.size else 1]
+
+
+def _synthesize(coeffs: np.ndarray, step: float, x, first: int = 0) -> np.ndarray:
+    """Re sum_k coeffs[k] * z**(first + k) with z = exp(1j*step*x): one exp
+    per point, then the blocked power sum of the coefficients :func:`_chopped`
+    at the rounding plateau, in memory linear in the number of points."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = np.exp(1j * step * x)
+    return (_power_sum(_chopped(coeffs), z) * z ** first).real
 
 
 class TrigInterpolant:
@@ -257,7 +257,7 @@ def invert_increasing(cumulative: CumulativeTrig, targets,
     if not span > 0:
         raise InvalidInputError("cumulative function is not increasing on the interval")
     if tol is None:
-        tol = 64.0 * np.finfo(float).eps * max(1.0, abs(span))
+        tol = 64.0 * np.finfo(float).eps * span
     t = np.clip(t, 0.0, span)  # targets beyond the range map to the nearer end
     xlo = np.zeros(t.shape)
     xhi = np.full(t.shape, hi)

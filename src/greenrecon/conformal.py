@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._spectral import TrigInterpolant, _power_sum, invert_increasing, uniform_grid
+from ._spectral import TrigInterpolant, _chopped, _power_sum, invert_increasing, uniform_grid
 from .boundary import COMPATIBILITY_TOL, BoundaryFunction
 from .errors import AliasingError, CompatibilityError, DegenerateMapError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
-DEGENERACY_TOL = 1e-12
+DEGENERACY_TOL = 1e-12  # least |f'| at the nodes, relative to the largest
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ class ConformalMap:
         two tests of :func:`_univalence_faults`. Returns human-readable warnings."""
         warnings = []
         m = max(n, 2 * self.degree)
-        smallest = float(np.min(np.abs(_on_nodes(self.fprime_coefficients(), m))))
-        if smallest < 1e-6:
-            warnings.append(f"|f'| as small as {smallest:.3g} on the boundary grid")
+        speed = np.abs(_on_nodes(self.fprime_coefficients(), m))
+        if np.min(speed) < 1e-6 * np.max(speed):
+            warnings.append(f"|f'| as small as {np.min(speed):.3g} on the boundary grid")
         return warnings + _univalence_faults(self, m)
 
 
@@ -218,13 +218,13 @@ def eval_boundary(f: ConformalMap, n: int) -> np.ndarray:
 
 def eval_fprime(f: ConformalMap, n: int) -> np.ndarray:
     """f' at the n-th roots of unity, in order of increasing angle; refuses
-    maps whose derivative (nearly) vanishes at a node."""
+    maps whose |f'| (nearly) vanishes at a node, relative to its largest."""
     _check_grid(f, n)
     values = _on_nodes(f.fprime_coefficients(), n)
-    smallest = np.min(np.abs(values))
-    if smallest < DEGENERACY_TOL:
+    speed = np.abs(values)
+    if not np.min(speed) > DEGENERACY_TOL * np.max(speed):
         raise DegenerateMapError(
-            f"|f'| = {smallest:.3g} at a boundary node; map is degenerate")
+            f"|f'| = {np.min(speed):.3g} at a boundary node; map is degenerate")
     return values
 
 
@@ -240,15 +240,25 @@ def arclength(f: ConformalMap, n: int) -> tuple[np.ndarray, float]:
 
     Spectral antidifferentiation of |f'| over theta; L = 2*pi times the mean.
     """
-    _interp, cumulative = _speed_machinery(f, n)
+    cumulative = _arclength_map(f, n)
     return cumulative.node_values(), cumulative.total
 
 
-def _speed_machinery(f: ConformalMap, n: int):
+def _arclength_map(f: ConformalMap, n: int):
     # the speed |f'| is rotation-invariant; evaluating it in the canonical
     # frame makes the float path independent of the input's orientation
-    interp = TrigInterpolant(np.abs(eval_fprime(f.canonical(), n)), TWO_PI)
-    return interp, interp.antiderivative()
+    return TrigInterpolant(np.abs(eval_fprime(f.canonical(), n)), TWO_PI).antiderivative()
+
+
+def _circle_data(f: ConformalMap, theta) -> tuple[np.ndarray, np.ndarray]:
+    """psi = 1/(2 pi |f'|) and d psi/d theta = psi Im(z f''/f') at z = e^{i theta},
+    in the canonical frame, as two power sums over the coefficients d of f' cut
+    at the rounding plateau: f' = sum d_j z^j and z f'' = sum j d_j z^j."""
+    d = _chopped(f.canonical().fprime_coefficients())
+    z = np.exp(1j * theta)
+    fprime = _power_sum(d, z)
+    psi = 1.0 / (TWO_PI * np.abs(fprime))
+    return psi, psi * (_power_sum(np.arange(d.size) * d, z) / fprime).imag
 
 
 def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFunction:
@@ -256,21 +266,17 @@ def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFun
 
     The parametric pairs (s(theta), 1/(2*pi*|f'(e^{i theta})|)) are resampled
     in s by inverting the monotone arclength map; the datum value and its
-    arclength derivative are then evaluated through the interpolant of |f'|,
-    which keeps the compatibility identities spectrally accurate.  A datum
-    whose integral misses one by more than ``COMPATIBILITY_TOL`` is
-    under-resolved at this n and raises :class:`CompatibilityError`.
+    arclength derivative are then the map's circle data at the inverted angles
+    (:func:`_circle_data`).  A datum whose integral misses one by more than
+    ``COMPATIBILITY_TOL`` is under-resolved at this n and raises
+    :class:`CompatibilityError`.
     """
-    interp, cumulative = _speed_machinery(f, n)
+    cumulative = _arclength_map(f, n)
     L = cumulative.total
-    s_targets = uniform_grid(n, L)
-    theta = invert_increasing(cumulative, s_targets)
-    speed = interp(theta)                      # |f'| at the mapped angles
-    values = 1.0 / (TWO_PI * speed)
-    # phi'(s) = d/d theta [1/(2 pi |f'|)] * d theta/d s, d theta/d s = 1/|f'|
-    dspeed = interp.derivative_at(theta)
-    derivative = -dspeed / (TWO_PI * speed ** 3)
-    phi = BoundaryFunction(values, L, alpha=alpha, derivative_values=derivative)
+    theta = invert_increasing(cumulative, uniform_grid(n, L))
+    psi, psi_prime = _circle_data(f, theta)
+    # phi(s) = psi(theta(s)), and d theta/d s = 1/|f'| = 2 pi psi
+    phi = BoundaryFunction(psi, L, alpha=alpha, derivative_values=TWO_PI * psi * psi_prime)
     if phi.compatibility_residual() > COMPATIBILITY_TOL:
         raise CompatibilityError(phi.integral(), COMPATIBILITY_TOL, n)
     return phi

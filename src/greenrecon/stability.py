@@ -34,10 +34,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import norms
-from ._spectral import derivative_samples, trig_sup_abs
+from ._spectral import trig_sup_abs
 from .boundary import BoundaryFunction, rescale_to_common_interval
-from .conformal import (ConformalMap, _check_grid, _univalence_faults, c1_gap,
-                        eval_fprime, forward_operator)
+from .conformal import (ConformalMap, _check_grid, _circle_data, _univalence_faults,
+                        boundary_grid, c1_gap, forward_operator)
 from .errors import InvalidInputError, NotUnivalentError
 from .families import disk_for_constant
 from .files import format_number
@@ -318,12 +318,8 @@ class DomainSample:
         if faults:
             raise NotUnivalentError(f"map is not univalent at n = {n}: {'; '.join(faults)}")
         datum = forward_operator(f, n, alpha)
-        # psi = 1/(2 pi |f'|) is the datum composed with the inverse cumulative
-        # map, read off the map without an inversion; psi' = -(|f'|)'/(2 pi
-        # |f'|^2) takes the spectral derivative of the speed samples
-        speed = np.abs(eval_fprime(f, n))
-        circle = (1.0 / (TWO_PI * speed),
-                  -derivative_samples(speed, TWO_PI) / (TWO_PI * speed ** 2))
+        # the datum pulled back to the theta grid, read off the map without an inversion
+        circle = _circle_data(f, boundary_grid(n))
         seminorm = norms.holder_seminorm(datum.as_interval_function(), alpha)
         for name, value in dict(
                 f=f, datum=datum, circle=circle, polyline=boundary_of(f, n),

@@ -14,6 +14,7 @@ from greenrecon.errors import (AliasingError, CompatibilityError, DataFormatErro
 from greenrecon.families import (disk, disk_for_constant, equal_perimeter_pair,
                                  fourier_disk, parse_family, perturbed_disk)
 from greenrecon.files import load_map, save_map
+from greenrecon.reconstruct import reconstruct_fprime
 
 TWO_PI = 2 * np.pi
 
@@ -335,9 +336,9 @@ class TestForwardOperator:
         assert np.max(np.abs(TWO_PI * datum_at_s * s_prime - 1)) <= 1e-8
 
     def test_pushforward_routes_agree(self):
-        # the map route (psi = 1/(2 pi |f'|), psi' from the spectral derivative
-        # of |f'|, s from the polyline's arclength tags) equals the arclength
-        # datum pulled back through its inverse cumulative map
+        # the map route (psi = 1/(2 pi |f'|) and psi' = psi Im(z f''/f') from
+        # the map's power sums, s from the polyline's arclength tags) equals
+        # the arclength datum pulled back through its inverse cumulative map
         from greenrecon._spectral import TrigInterpolant
         from greenrecon.boundary import build_cumulative
         from greenrecon.stability import DomainSample
@@ -367,13 +368,15 @@ class TestForwardOperator:
                            forward_operator(g, n).values, atol=1e-12)
 
 
-def elliptic_datum(eps, n, nodes):
+def elliptic_datum(eps, n, nodes, derivative=False):
     """The datum of z + eps z^2 at the uniform arclength nodes s_j = j L / n,
-    in 30 digits.
+    in 30 digits; with ``derivative``, its arclength derivative there.
 
     |f'(e^{i t})| = sqrt(1 + 4 eps^2 + 4 eps cos t), so with m = 8 eps/(1 + 2 eps)^2
     the arclength is s(t) = 2 (1 + 2 eps) E(t/2 | m) and L = 4 (1 + 2 eps) E(m),
     elliptic integrals of the second kind; s(t_j) = s_j is solved by findroot.
+    phi' = -|f'|'/(2 pi |f'|^3) with |f'|' = -2 eps sin t/|f'|, so
+    phi'(s_j) = eps sin t_j / (pi |f'|^4).
     """
     with mpmath.workdps(30):
         e = mpmath.mpf(eps)
@@ -386,7 +389,10 @@ def elliptic_datum(eps, n, nodes):
             t = mpmath.findroot(lambda t: 2 * a * mpmath.ellipe(t / 2, m) - target,
                                 2 * mpmath.pi * int(j) / n)
             speed = mpmath.sqrt(1 + 4 * e ** 2 + 4 * e * mpmath.cos(t))
-            values.append(float(1 / (2 * mpmath.pi * speed)))
+            if derivative:
+                values.append(float(e * mpmath.sin(t) / (mpmath.pi * speed ** 4)))
+            else:
+                values.append(float(1 / (2 * mpmath.pi * speed)))
     return np.array(values)
 
 
@@ -398,6 +404,87 @@ class TestDatumOracle:
         ref = elliptic_datum(eps, n, nodes)
         phi = forward_operator(perturbed_disk(eps), n)
         assert np.max(np.abs(phi.values[nodes] - ref) / ref) <= 1e-14
+
+    @pytest.mark.parametrize("eps, n", [(0.1, 512), (0.2, 2048), (0.3, 1024), (0.45, 4096)])
+    def test_derivative_matches_elliptic_arclength(self, eps, n):
+        # phi' comes from the map's f' and z f'', not from an interpolant of |f'|
+        nodes = np.arange(32) * (n // 32) + np.random.default_rng(n).integers(0, n // 32, 32)
+        ref = elliptic_datum(eps, n, nodes, derivative=True)
+        dphi = forward_operator(perturbed_disk(eps), n).derivative()
+        assert np.max(np.abs(dphi[nodes] - ref)) <= 1e-13 * np.max(np.abs(dphi))
+
+
+FOURIER_MAP = {2: 0.1 + 0.05j, 3: -0.04j, 5: 0.02}
+
+
+def mpmath_psi_prime(f, theta):
+    """d/d theta of 1/(2 pi |f'(e^{i theta})|) by mpmath's numerical
+    differentiation in 30 digits, independent of the closed form."""
+    with mpmath.workdps(30):
+        d = [mpmath.mpc(complex(c)) for c in f.fprime_coefficients()]
+
+        def psi(t):
+            return 1 / (2 * mpmath.pi * abs(mpmath.polyval(d[::-1], mpmath.expj(t))))
+
+        return np.array([float(mpmath.diff(psi, mpmath.mpf(float(t)))) for t in theta])
+
+
+class TestCircleData:
+    @pytest.mark.parametrize("f", [perturbed_disk(0.35), fourier_disk(FOURIER_MAP)],
+                             ids=["quadratic", "fourier"])
+    def test_psi_prime_at_the_nodes_matches_mpmath(self, f):
+        from greenrecon.stability import DomainSample
+        _, psi_prime = DomainSample(f, 512).circle
+        ref = mpmath_psi_prime(f.canonical(), boundary_grid(512))
+        assert np.max(np.abs(psi_prime - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    @pytest.mark.parametrize("f", [perturbed_disk(0.2), fourier_disk(FOURIER_MAP)],
+                             ids=["quadratic", "fourier"])
+    def test_rebuilt_map_has_the_true_derivative(self, f, n):
+        # the rebuilt map has degree n/2, all but f's own terms at rounding level
+        phi = forward_operator(f, n)
+        rebuilt = reconstruct_fprime(phi, f.zeta_o, f.zeta_b, n).map
+        dphi = phi.derivative()
+        got = forward_operator(rebuilt, n).derivative()
+        assert np.max(np.abs(got - dphi)) <= 1e-13 * np.max(np.abs(dphi))
+
+    def test_power_sums_stop_at_the_plateau(self, monkeypatch):
+        from greenrecon import conformal
+        f, n = perturbed_disk(0.2), 2048
+        rebuilt = reconstruct_fprime(forward_operator(f, n), f.zeta_o, f.zeta_b, n).map
+        power_sum, sizes = conformal._power_sum, []
+
+        def spy(coeffs, z):
+            sizes.append(coeffs.size)
+            return power_sum(coeffs, z)
+
+        monkeypatch.setattr(conformal, "_power_sum", spy)
+        conformal._circle_data(rebuilt, boundary_grid(n))
+        assert rebuilt.degree == n // 2
+        assert len(sizes) == 2 and max(sizes) < 16
+
+
+class TestDilation:
+    """A dilation by a power of two c scales phi by 1/c, phi' by 1/c^2 and L
+    by c, and every tolerance on the way is relative, so the floats are the
+    same at any size of the domain."""
+
+    @pytest.mark.parametrize("c", [2.0 ** -60, 2.0 ** -20, 0.5, 2.0 ** 20],
+                             ids=["2^-60", "2^-20", "2^-1", "2^20"])
+    @pytest.mark.parametrize("f", [perturbed_disk(0.3), fourier_disk(FOURIER_MAP)],
+                             ids=["quadratic", "fourier"])
+    def test_datum_is_bit_identical(self, f, c):
+        phi = forward_operator(f, 512)
+        small = forward_operator(f.scaled(c), 512)
+        assert np.array_equal(small.values * c, phi.values)
+        assert np.array_equal(small.derivative() * c * c, phi.derivative())
+        assert small.L / c == phi.L
+
+    def test_tiny_disk_is_a_disk(self):
+        phi = forward_operator(disk(rho=1e-13), 64)
+        assert np.max(np.abs(phi.values * 1e-13 * TWO_PI - 1)) <= 1e-14
+        assert disk(rho=1e-7).validate(64) == []
 
 
 class TestFamilies:
