@@ -318,8 +318,12 @@ def _cmd_sweep(args) -> int:
         partner = stability.DomainSample(disk(), args.n, args.alpha)
 
     def reports_at(eps):
-        return _reports(args.theorems, stability.DomainSample(family(eps), args.n, args.alpha),
-                        partner, args)
+        try:
+            return _reports(args.theorems,
+                            stability.DomainSample(family(eps), args.n, args.alpha),
+                            partner, args)
+        except GreenreconError as exc:
+            raise GreenreconError(f"eps = {eps!r}: {exc}") from exc
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(reports_at, eps_values))  # in eps order, whatever the scheduling

@@ -372,6 +372,11 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "n = 512 samples" in err and "under-resolved" in err
 
+    def test_refusal_names_its_eps(self, tmp_path, capsys):
+        assert main(["sweep", "--family", "z+eps*z^2", "--eps", "0.40:0.48:0.04",
+                     "--theorem", "raggi", "--n", "512", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("error: eps = 0.44: boundary datum of n = 512")
+
     @pytest.mark.parametrize("eps", ["nan:0.2:0.1", "0.1:0.2:nan", "0.1:inf:0.1",
                                      "0.1:0.2:inf", "-1e308:1e308:1", "0:1:1e-12",
                                      # rounded to 12 decimals, 1e-13 would run as the

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from greenrecon import geometry
-from greenrecon.conformal import ConformalMap
+from greenrecon.conformal import ConformalMap, forward_operator
 from greenrecon.errors import ConvergenceError, InvalidInputError
 from greenrecon.families import disk, disk_for_constant, fourier_disk, perturbed_disk
 from greenrecon.geometry import (DomainBoundary, _total_turning, align_rotation,
@@ -16,6 +16,7 @@ from greenrecon.geometry import (DomainBoundary, _total_turning, align_rotation,
                                  hausdorff_distance, inradius_circumradius,
                                  largest_inscribed_circle, smallest_enclosing_circle)
 from greenrecon.files import save_polyline
+from greenrecon.reconstruct import reconstruct_fprime
 
 TWO_PI = 2 * np.pi
 
@@ -171,6 +172,21 @@ def star_points(draw):
     return np.array(radii) * np.exp(1j * theta)
 
 
+QUADRATIC_CUBIC = fourier_disk({2: 0.1 + 0.05j, 3: -0.04j})
+
+
+def moved(f, zeta_o):
+    """f with its base point moved to zeta_o."""
+    return ConformalMap(np.r_[zeta_o, f.coefficients[1:]])
+
+
+def jagged_star(seed, n):
+    """A closed polyline about 0 with n independent random radii in [1, 1.3)."""
+    theta = np.arange(n) * (TWO_PI / n)
+    radii = 1.0 + 0.3 * np.random.default_rng(seed).uniform(size=n)
+    return polyline(radii * np.exp(1j * theta))
+
+
 class TestHausdorffEqualsPairScan:
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(p1=star_points(), p2=star_points(),
@@ -241,6 +257,46 @@ class TestHausdorffEqualsPairScan:
         b2 = boundary_of(fourier_disk({2: 0.05, 3: 0.03}), 1024)
         assert hausdorff_distance(b1, b2) == pair_scan_hausdorff(b1, b2)
         assert hausdorff_distance(b1, b1) == 0.0
+
+    # Pairs for each outcome of the prune before the KD-tree: no point
+    # survives (identical, near-identical, and concentric circles, whose
+    # bounds all tie up to rounding), a few do (two distinct maps), most do
+    # (jagged stars); then polar angles about the base point of one boundary
+    # only, and boundaries far from the origin.
+    @pytest.mark.parametrize("pair", [
+        lambda: (boundary_of(QUADRATIC_CUBIC, 4096),) * 2,
+        lambda: (boundary_of(QUADRATIC_CUBIC, 4096),
+                 boundary_of(ConformalMap(QUADRATIC_CUBIC.coefficients * (1.0 + 1e-14)), 4096)),
+        lambda: (circle_boundary(n=4096), circle_boundary(1.3, n=4096, phase=np.pi / 4096)),
+        lambda: (boundary_of(QUADRATIC_CUBIC, 4096),
+                 boundary_of(fourier_disk({2: 0.1, 5: 0.02}), 4096)),
+        lambda: (jagged_star(1, 4096), jagged_star(2, 4096)),
+        lambda: (boundary_of(perturbed_disk(0.1), 512),
+                 boundary_of(moved(fourier_disk({2: 0.05, 3: 0.03}), 0.2 - 0.1j), 512)),
+        lambda: (boundary_of(moved(perturbed_disk(0.1), 1000.0), 1024),
+                 boundary_of(moved(fourier_disk({2: 0.05, 3: 0.03}), 1000.0), 1024)),
+        lambda: (boundary_of(moved(perturbed_disk(0.1), 1e6), 1024),
+                 boundary_of(moved(fourier_disk({2: 0.05, 3: 0.03}), 1e6), 1024)),
+    ], ids=["identical-4096", "near-identical-4096", "concentric-half-step-4096",
+            "distinct-maps-4096", "jagged-stars-4096", "base-points-differ",
+            "zeta_o-1e3", "zeta_o-1e6"])
+    def test_prune_outcomes(self, pair):
+        b1, b2 = pair()
+        assert (hausdorff_distance(b1, b2) == hausdorff_distance(b2, b1)
+                == pair_scan_hausdorff(b1, b2))
+
+    @pytest.mark.parametrize("f", [perturbed_disk(0.3), moved(QUADRATIC_CUBIC, 0.3 - 0.5j)])
+    def test_kd_tree_runs_on_no_point_of_matched_boundaries(self, monkeypatch, f):
+        queried = []
+        kernel = geometry._directed_sup_inf
+        monkeypatch.setattr(geometry, "_directed_sup_inf",
+                            lambda a, b: queried.append(a.size) or kernel(a, b))
+        b = boundary_of(f, 2048)
+        assert hausdorff_distance(b, b) == 0.0
+        rebuilt = reconstruct_fprime(forward_operator(f, 2048), f.zeta_o, f.zeta_b, 2048).map
+        b_rebuilt = boundary_of(rebuilt, 2048)
+        assert hausdorff_distance(b, b_rebuilt) == pair_scan_hausdorff(b, b_rebuilt)
+        assert queried == []
 
 
 class TestDomainBoundary:
