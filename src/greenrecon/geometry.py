@@ -7,9 +7,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from .conformal import ConformalMap, _total_turning, arclength, eval_boundary
@@ -38,6 +38,14 @@ _COORD_RANGE = (-3, 256)
 # a point lies in a circle of radius r when its distance to the center is at
 # most r * (1 + _COVER_SLACK) + _COVER_SLACK
 _COVER_SLACK = 1e-12
+_EPS = float(np.finfo(float).eps)
+# Nelder-Mead's stopping test and iteration cap in the inscribed-disk search
+_NM_XATOL = 1e-10
+_NM_FATOL = 1e-12
+_NM_MAXITER = 400
+# the inscribed-disk objective rescans its edges once the disk the simplex
+# asks for is this many times narrower than the one they were kept for
+_FOCUS_SHRINK = 16.0
 
 
 @dataclass(frozen=True)
@@ -358,63 +366,181 @@ class _NegDepth:
     ``ax, ay``, vectors ``abx, aby``, ``den = max(|ab|^2, 1e-300)`` and unit
     left normals ``nx, ny`` (Python floats, as each evaluation reads one or
     two), with five n-sized buffers that every evaluation overwrites.
+
+    Evaluations scan a working table: every edge, or, after `rescan` at a
+    disk, in ascending index, the edges that can be nearest to a point of it.
+    A kept edge takes the full scan's float operations, and every edge that
+    can tie for the least square is kept, so distance, nearest edge and side
+    are the full scan's to the bit.
     """
 
     def __init__(self, b: DomainBoundary, shift: int = 0):
         pts = _ldexp(b.points, -shift)
         end = np.roll(pts, -1)
-        self.ax, self.ay = pts.real.copy(), pts.imag.copy()
-        self.abx, self.aby = end.real - self.ax, end.imag - self.ay
-        self.den = np.maximum(self.abx * self.abx + self.aby * self.aby, 1e-300)
-        length = np.sqrt(self.den)
-        self.nx, self.ny = (-self.aby / length).tolist(), (self.abx / length).tolist()
-        self._t, self._dx, self._dy, self._sq, self._dx2 = np.empty((5, pts.size))
+        ax, ay = pts.real.copy(), pts.imag.copy()
+        abx, aby = end.real - ax, end.imag - ay
+        den = np.maximum(abx * abx + aby * aby, 1e-300)
+        length = np.sqrt(den)
+        self.nx, self.ny = (-aby / length).tolist(), (abx / length).tolist()
+        self._edges = (ax, ay, abx, aby, den)
+        self._top = float(max(np.max(np.abs(ax)), np.max(np.abs(ay))))
+        self._buffers = np.empty((5, pts.size))
+        self._disk = None
+        self._use(self._edges, None)
 
-    def distance_and_side(self, x: float, y: float) -> tuple[float, bool]:
-        """Distance from (x, y) to the polyline, the least ``np.hypot`` to a
-        clamped projection on an edge (to the bit), and whether it is inside."""
-        t, dx, dy, sq, dx2 = self._t, self._dx, self._dy, self._sq, self._dx2
-        np.subtract(x, self.ax, out=t)
-        t *= self.abx
-        np.subtract(y, self.ay, out=dy)
-        dy *= self.aby
+    def _use(self, table: tuple, index: np.ndarray | None) -> None:
+        """Scan ``table`` from now on; ``index`` holds the global index of
+        each of its edges (None when it is the full table)."""
+        self._table, self._index = table, index
+        self._rows = tuple(self._buffers[:, :table[0].size])
+
+    def _scan(self, x: float, y: float) -> tuple[np.ndarray, ...]:
+        """Each working edge's clamped projection parameter t, residual
+        (dx, dy) from its nearest point to (x, y), and squared distance sq."""
+        ax, ay, abx, aby, den = self._table
+        t, dx, dy, sq, dx2 = self._rows
+        np.subtract(x, ax, out=t)
+        t *= abx
+        np.subtract(y, ay, out=dy)
+        dy *= aby
         t += dy
-        t /= self.den
+        t /= den
         np.maximum(t, 0.0, out=t)
         np.minimum(t, 1.0, out=t)
-        for d, a, ab, p in ((dx, self.ax, self.abx, x), (dy, self.ay, self.aby, y)):
+        for d, a, ab, p in ((dx, ax, abx, x), (dy, ay, aby, y)):
             np.multiply(t, ab, out=d)
             d += a
             np.subtract(p, d, out=d)
         np.multiply(dx, dx, out=dx2)
         np.multiply(dy, dy, out=sq)
         sq += dx2
+        return t, dx, dy, sq
+
+    def rescan(self, cx: float, cy: float, radius: float) -> None:
+        """Keep only the edges that can be nearest to a point within
+        ``radius`` of (cx, cy), or every edge when more than half can.
+
+        One full scan at the center c gives its distance D(c).  A point p of
+        the disk has D(p) <= D(c) + radius, and an edge farther than
+        D(c) + 2 radius from c is farther than that from p.  A relative 1e-9,
+        an absolute 64 eps times the largest coordinate of edges and disk, and
+        ``_SQ_ATOL`` on the square cover the rounding of residuals and squares
+        and the near-tie allowance of `distance_and_side`.
+        """
+        self._use(self._edges, None)
+        sq = self._scan(cx, cy)[3]
+        top = max(self._top, abs(cx) + radius, abs(cy) + radius)
+        reach = ((math.sqrt(float(sq.min())) + 2.0 * radius) * (1.0 + 1e-9)
+                 + 64.0 * _EPS * top)
+        keep = (sq <= reach * reach + _SQ_ATOL).nonzero()[0]
+        if 2 * keep.size <= sq.size:
+            self._use(tuple(column[keep] for column in self._edges), keep)
+        self._disk = (cx, cy, radius)
+
+    def focus(self, cx: float, cy: float, radius: float) -> None:
+        """Make the working table serve every point within ``radius`` of
+        (cx, cy): keep it while its disk holds that disk and is at most
+        `_FOCUS_SHRINK` times as wide, else rescan at four times the radius."""
+        if self._disk is not None:
+            wx, wy, wr = self._disk
+            if math.hypot(cx - wx, cy - wy) + radius <= wr <= _FOCUS_SHRINK * radius:
+                return
+        self.rescan(cx, cy, 4.0 * radius)
+
+    def distance_and_side(self, x: float, y: float) -> tuple[float, bool]:
+        """Distance from (x, y) to the polyline, the least ``np.hypot`` to a
+        clamped projection on an edge (to the bit), and whether it is inside."""
+        t, dx, dy, sq = self._scan(x, y)
         i = int(sq.argmin())
         near = (sq <= sq[i] * (1.0 + _SQ_RTOL) + _SQ_ATOL).nonzero()[0]
-        # a projection clamped to an end of edge i is the vertex it shares
-        # with edge j; elsewhere j = i, and the doubled normal has the same sign
+        # a projection clamped to an end of edge e is the vertex it shares
+        # with edge j; elsewhere j = e, and the doubled normal has the same sign
+        e = i if self._index is None else self._index.item(i)
         end = t.item(i)
-        j = (i + (end == 1.0) - (end == 0.0)) % t.size
-        side = ((self.nx[i] + self.nx[j]) * dx.item(i)
-                + (self.ny[i] + self.ny[j]) * dy.item(i))
+        j = (e + (end == 1.0) - (end == 0.0)) % len(self.nx)
+        side = ((self.nx[e] + self.nx[j]) * dx.item(i)
+                + (self.ny[e] + self.ny[j]) * dy.item(i))
         return float(np.hypot(dx[near], dy[near]).min()), side > 0.0
 
     def distance(self, x: float, y: float) -> float:
         return self.distance_and_side(x, y)[0]
 
-    def __call__(self, xy) -> float:
-        d, inside = self.distance_and_side(float(xy[0]), float(xy[1]))
+    def __call__(self, x: float, y: float) -> float:
+        d, inside = self.distance_and_side(x, y)
         return -d if inside else 0.0
+
+
+def _nelder_mead(fun, x: float, y: float, focus
+                 ) -> tuple[float, float, float, int, bool]:
+    """Minimize ``fun(x, y)`` from (x, y) by the Nelder-Mead simplex method
+    in the form scipy's ``minimize(method="Nelder-Mead")`` gives it
+    (Lagarias, Reeds, Wright & Wright, SIAM J. Optim. 1998), with
+    ``xatol = 1e-10``, ``fatol = 1e-12`` and ``maxiter = 400``.
+
+    The same float operations run in the same order on Python floats: the
+    start simplex (each nonzero coordinate times 1.05, a zero one set to
+    0.00025), the reflection, expansion, contraction and shrink points, the
+    stable sort by value, the stopping test and the iteration count.  The
+    returned x, y, value, iteration count and converged flag are scipy's
+    ``x``, ``fun``, ``nit`` and ``success`` to the bit; a run that stops at
+    ``maxiter`` returns with the flag False.
+
+    Before each iteration ``focus(cx, cy, r)`` is told a disk that holds
+    every point the iteration can evaluate: the reflection and expansion lie
+    within 2 max_j |x_j - xbar| of the centroid xbar of the best two
+    vertices, the contractions and the shrunk vertices within
+    max_j |x_j - xbar|, and a margin covers their rounding.
+    """
+    simplex = sorted(((fun(px, py), px, py) for px, py in (
+        (x, y), (1.05 * x if x != 0 else 0.00025, y),
+        (x, 1.05 * y if y != 0 else 0.00025))), key=itemgetter(0))
+    iterations = 1
+    while iterations < _NM_MAXITER:
+        (f0, x0, y0), (f1, x1, y1), (f2, x2, y2) = simplex
+        if (max(abs(x1 - x0), abs(y1 - y0), abs(x2 - x0), abs(y2 - y0)) <= _NM_XATOL
+                and max(abs(f0 - f1), abs(f0 - f2)) <= _NM_FATOL):
+            break
+        xbar, ybar = (x0 + x1) / 2, (y0 + y1) / 2
+        spread = max(math.hypot(x0 - xbar, y0 - ybar), math.hypot(x1 - xbar, y1 - ybar),
+                     math.hypot(x2 - xbar, y2 - ybar))
+        focus(xbar, ybar, 2.0 * spread * (1.0 + 1e-9)
+              + 16.0 * _EPS * (max(abs(xbar), abs(ybar)) + spread))
+        xr, yr = 2 * xbar - x2, 2 * ybar - y2
+        fr = fun(xr, yr)
+        if fr < f0:
+            xe, ye = 3 * xbar - 2 * x2, 3 * ybar - 2 * y2
+            fe = fun(xe, ye)
+            simplex[2] = (fe, xe, ye) if fe < fr else (fr, xr, yr)
+        elif fr < f1:
+            simplex[2] = (fr, xr, yr)
+        else:
+            outside = fr < f2
+            if outside:
+                xc, yc = 1.5 * xbar - 0.5 * x2, 1.5 * ybar - 0.5 * y2
+            else:
+                xc, yc = 0.5 * xbar + 0.5 * x2, 0.5 * ybar + 0.5 * y2
+            fc = fun(xc, yc)
+            if fc <= fr if outside else fc < f2:
+                simplex[2] = (fc, xc, yc)
+            else:  # shrink towards the best vertex
+                simplex[1:] = [(fun(px, py), px, py) for px, py in (
+                    (x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0)),
+                    (x0 + 0.5 * (x2 - x0), y0 + 0.5 * (y2 - y0)))]
+        iterations += 1
+        simplex.sort(key=itemgetter(0))
+    f0, x0, y0 = simplex[0]
+    return x0, y0, f0, iterations, iterations < _NM_MAXITER
 
 
 def largest_inscribed_circle(b: DomainBoundary) -> tuple[complex, float]:
     """Largest disk inside the domain, center free.
 
-    Coarse search over a polar grid around the base point followed by a
-    Nelder-Mead polish of the distance-to-boundary function; adequate for the
-    star-shaped domains this package produces.
+    Coarse search over a polar grid around the base point, then the 2-D
+    Nelder-Mead of `_nelder_mead` (scipy's path, to the bit) on the
+    distance-to-boundary function; adequate for the star-shaped domains
+    this package produces.
 
-    One scan of the edges gives each evaluation both its values:
+    Each evaluation takes both its values from one scan of the edges:
 
     * The side comes from the nearest point (the pseudonormal test of
       Baerentzen & Aanaes, IEEE TVCG 2005): the point is inside when its
@@ -432,6 +558,13 @@ def largest_inscribed_circle(b: DomainBoundary) -> tuple[complex, float]:
       one ulp.  An edge whose hypot is least therefore has a square within
       that allowance of the least square, and is always among the candidates.
 
+    The coarse grid and the first iterations scan every edge.  Before each
+    iteration the simplex names a disk that holds the points it can
+    evaluate, and the objective scans only the edges that can be nearest to
+    a point of a disk four times as wide (`_NegDepth.rescan`), which it
+    keeps until the simplex leaves it or shrinks 16-fold; the result is the
+    full scan's to the bit.
+
     Coordinates are scaled by a power of two into `_COORD_RANGE` and the disk
     scaled back, both exact.
     """
@@ -439,19 +572,17 @@ def largest_inscribed_circle(b: DomainBoundary) -> tuple[complex, float]:
     zeta_o = complex(_ldexp(b.zeta_o, -shift))
     neg_depth = _NegDepth(b, shift)
     rho0 = float(np.min(np.abs(_ldexp(b.points, -shift) - zeta_o)))
-    best_xy = np.array([zeta_o.real, zeta_o.imag])
-    best = neg_depth(best_xy)
+    best_x, best_y = zeta_o.real, zeta_o.imag
+    best = neg_depth(best_x, best_y)
     if best == 0.0:
         raise InvalidInputError(
             "base point outside: the polyline is not simple and counterclockwise")
+    directions = [(float(np.cos(a)), float(np.sin(a))) for a in np.arange(8) * (TWO_PI / 8)]
     for radius in (0.2 * rho0, 0.45 * rho0, 0.7 * rho0):
-        for angle in np.arange(8) * (TWO_PI / 8):
-            xy = np.array([zeta_o.real + radius * np.cos(angle),
-                           zeta_o.imag + radius * np.sin(angle)])
-            val = neg_depth(xy)
+        for cos, sin in directions:
+            x, y = zeta_o.real + radius * cos, zeta_o.imag + radius * sin
+            val = neg_depth(x, y)
             if val < best:
-                best, best_xy = val, xy
-    result = minimize(neg_depth, best_xy, method="Nelder-Mead",
-                      options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
-    center = complex(result.x[0], result.x[1])
-    return complex(_ldexp(center, shift)), math.ldexp(float(-result.fun), shift)
+                best, best_x, best_y = val, x, y
+    x, y, fun, _, _ = _nelder_mead(neg_depth, best_x, best_y, neg_depth.focus)
+    return complex(_ldexp(complex(x, y), shift)), math.ldexp(-fun, shift)

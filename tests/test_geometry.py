@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
@@ -519,9 +520,73 @@ class TestInscribedCircleEqualsScan:
         circle_boundary(n=4096),
         circle_boundary(radius=3e5, center=1.2e5 - 3.3e5j, n=4096, phase=0.3),
         boundary_of(perturbed_disk(0.2), 4096),
-    ], ids=["regular", "regular-offset", "perturbed-0.2"])
+        boundary_of(QUADRATIC_CUBIC, 4096),
+        boundary_of(fourier_disk({2: 0.05, 5: 0.02}), 4096),
+        boundary_of(moved(fourier_disk({3: 0.08j, 4: -0.03}), 0.3 - 0.5j), 4096),
+    ], ids=["regular", "regular-offset", "perturbed-0.2", "quadratic-cubic",
+            "modes-2-5", "modes-3-4-off-origin"])
     def test_n4096(self, b):
         assert largest_inscribed_circle(b) == scan_inscribed_circle(b)
+
+    def test_few_evaluations_scan_every_edge(self, monkeypatch):
+        # the coarse grid and the first iterations scan all n edges, the rest
+        # only those that can be nearest; scipy's minimize is not called
+        b = boundary_of(perturbed_disk(0.2), 4096)
+        scanned = []
+        evaluate = geometry._NegDepth.distance_and_side
+
+        def spy(self, x, y):
+            scanned.append(self._table[0].size)
+            return evaluate(self, x, y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.optimize.minimize called")
+
+        monkeypatch.setattr(geometry._NegDepth, "distance_and_side", spy)
+        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        largest_inscribed_circle(b)
+        assert 3 * scanned.count(b.n) <= len(scanned)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(b=st.one_of(
+               star_domains(),
+               st.builds(lambda n, scale, phase: circle_boundary(radius=scale, n=n, phase=phase),
+                         st.sampled_from([8, 64, 256, 512]),
+                         st.sampled_from([1.0, 3e5, 1e-158]), st.floats(0.0, 1.0)),
+               st.just(circle_boundary(radius=3e5, center=1.2e5 - 3.3e5j))),
+           where=st.complex_numbers(max_magnitude=1.5),
+           size=st.sampled_from([0.0, 1e-16, 1e-9, 1e-4, 1e-2, 0.3, 2.0]),
+           data=st.data())
+    def test_working_set_changes_no_value(self, b, where, size, data):
+        # a disk anywhere around the domain, from a point to wider than it,
+        # and points inside it and on its rim: the rescanned table gives the
+        # full scan's distance and side
+        scale = abs(b.points[0] - b.zeta_o)
+        center = b.zeta_o + scale * where
+        radius = scale * size
+        neg_depth, full = geometry._NegDepth(b), geometry._NegDepth(b)
+        neg_depth.rescan(center.real, center.imag, radius)
+        reach = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
+        for _ in range(8):
+            p = center + radius * data.draw(reach) * np.exp(1j * data.draw(st.floats(0.0, TWO_PI)))
+            d, inside = neg_depth.distance_and_side(p.real, p.imag)
+            assert d == scan_polyline_distance(p, b.points)
+            assert inside == full.distance_and_side(p.real, p.imag)[1]
+
+    def test_far_wall_of_a_channel(self):
+        # in a channel of width 1, the center 0.1 above the floor, a point
+        # 0.45 above the center is nearer the roof, 0.9 from the center: the
+        # table keeps the edges within D(c) + 2 radius of it, not D(c) + radius
+        floor = np.linspace(-8.0, 8.0, 512, endpoint=False)
+        side = np.linspace(0.0, 1.0, 8, endpoint=False)
+        b = polyline(np.concatenate([floor, 8.0 + 1j * side, -floor + 1j, -8.0 + 1j - 1j * side]),
+                     0.5j)
+        neg_depth = geometry._NegDepth(b)
+        neg_depth.rescan(0.0, 0.1, 0.45)
+        assert 2 * neg_depth._table[0].size <= b.n
+        d, inside = neg_depth.distance_and_side(0.0, 0.55)
+        assert d == scan_polyline_distance(0.55j, b.points) == pytest.approx(0.45)
+        assert inside
 
     @pytest.mark.parametrize("scale", [1.0, 1e-158])
     def test_distance_at_the_center_of_a_regular_polygon(self, scale):
@@ -550,6 +615,66 @@ class TestInscribedCircleEqualsScan:
         p = b.zeta_o + abs(b.points[0] - b.zeta_o) * where
         assert (geometry._NegDepth(b).distance(p.real, p.imag)
                 == scan_polyline_distance(p, b.points))
+
+
+def plateau_well(x, y):
+    """Minus the depth in the unit disk about 0.2 - 0.1i, 0.0 outside it."""
+    return min(0.0, math.hypot(x - 0.2, y + 0.1) - 1.0)
+
+
+def scipy_nelder_mead(fun, x, y):
+    """scipy's Nelder-Mead with largest_inscribed_circle's options: x, y,
+    fun, nit and success, and every point it evaluated."""
+    points = []
+
+    def traced(xy):
+        points.append((float(xy[0]), float(xy[1])))
+        return fun(*points[-1])
+
+    result = minimize(traced, np.array([x, y]), method="Nelder-Mead",
+                      options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
+    return (float(result.x[0]), float(result.x[1]), float(result.fun), result.nit,
+            bool(result.success)), points
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize("fun, x, y, shrinks, ties, converged", [
+        (lambda x, y: (x - 1.0) ** 2 + 2.0 * (y + 0.5) ** 2, 0.0, 0.7, False, False, True),
+        (lambda x, y: (x - 1.0) ** 2 + 2.0 * (y + 0.5) ** 2, 0.3, 0.0, False, False, True),
+        (lambda x, y: (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2, -1.2, 1.0, False, False, True),
+        (plateau_well, 1.1, 0.3, False, False, True),
+        (plateau_well, 1.1, 0.5, True, True, True),
+        (lambda x, y: math.floor(4.0 * ((x - 0.3) ** 2 + (y + 0.2) ** 2)) / 4.0, 1.0, 1.0,
+         True, True, True),
+        (lambda x, y: math.floor(1e4 * (abs(x) + abs(y - 0.001))), -0.047, -0.023,
+         True, True, True),
+        (lambda x, y: x + 2.0 * y, 1.0, 1.0, False, False, False),
+    ], ids=["zero-x", "zero-y", "rosenbrock", "well-across-the-rim", "plateau",
+            "terraces", "diamond-terraces-across-zero", "unbounded-to-maxiter"])
+    def test_nelder_mead_equals_scipy(self, fun, x, y, shrinks, ties, converged):
+        # x, fun, nit and success equal scipy's, every evaluated point too,
+        # and each lies in the disk the loop announced for its iteration
+        points, values, disks = [], [], []
+
+        def traced(px, py):
+            if disks:
+                (cx, cy, r), count = disks[-1]
+                assert math.hypot(px - cx, py - cy) <= r
+                disks[-1][1] = count + 1
+            points.append((px, py))
+            values.append(fun(px, py))
+            return values[-1]
+
+        result = geometry._nelder_mead(traced, x, y, lambda *disk: disks.append([disk, 0]))
+        expected, expected_points = scipy_nelder_mead(fun, x, y)
+        assert result == expected
+        assert points == expected_points
+        assert len(disks) == result[3] - 1
+        # a shrink is the only step with four evaluations
+        assert any(count == 4 for _, count in disks) == shrinks
+        assert (len(set(values)) < len(values)) == ties
+        assert result[4] == converged
+        assert (result[3] == 400) != converged
 
 
 def regular_polygon(n):
