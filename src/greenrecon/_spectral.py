@@ -8,6 +8,8 @@ real-valued convention.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
@@ -18,31 +20,52 @@ def uniform_grid(n: int, period: float) -> np.ndarray:
     return np.arange(n) * (period / n)
 
 
-# Baby steps per giant step, and points per block: a block's table of powers
-# is 32 x 512 complex values, 256 KB, whatever the number of points.
-_BABY = 32
-_BLOCK = 512
+# A block's table of powers and its matrix product hold (b + rows) x block
+# complex values: at most `_BUDGET`, 512 KB, above the 512-point floor.
+_BUDGET = 32768
+_MIN_BLOCK = 512
+_MAX_BABY = 32
+
+
+def _blocking(K: int) -> tuple[int, int, int]:
+    """The shape of a K-term power sum: baby steps b, rows = ceil(K/b), and
+    points per block.
+
+    A block makes b - 1 + 2(rows - 1) + 1 elementwise passes, fewest near
+    b = sqrt(2K), so b = min(32, ceil(sqrt(2K))), unless one row of K powers
+    (K - 1 passes) makes at most two passes more: a one-row product is a
+    matrix-vector product, which costs about two passes less than a matrix
+    product of several rows (K <= 13).  A block is the widest power of two
+    of points whose powers and products fit `_BUDGET`, and at least 512;
+    from K = 1024 on, that is 512 points of 32 powers.
+    """
+    b = min(_MAX_BABY, math.isqrt(2 * K - 1) + 1)
+    rows = -(-K // b)
+    if K - 1 <= (b - 1) + 2 * (rows - 1) + 1 + 2:
+        b, rows = K, 1
+    return b, rows, max(_MIN_BLOCK, 1 << ((_BUDGET // (b + rows)).bit_length() - 1))
 
 
 def _power_sum(coeffs: np.ndarray, z) -> np.ndarray:
     """sum_k coeffs[k] * z**k, of the shape of z, by baby-step/giant-step
     evaluation (Paterson & Stockmeyer, SIAM J. Comput. 1973).
 
-    For each block of points: the powers z**0 ... z**(b-1) by running product,
-    one matrix product with the coefficients as ceil(K/b) rows of b, then
-    Horner in w = z**b over those rows.
+    For each block of points (shaped by :func:`_blocking`): the powers
+    z**0 ... z**(b-1) by running product, one matrix product with the
+    coefficients as ceil(K/b) rows of b, then Horner in w = z**b over those
+    rows.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    b = min(_BABY, coeffs.size)
-    rows = -(-coeffs.size // b)
+    K = coeffs.size
+    b, rows, block = _blocking(K)
     table = np.zeros(rows * b, dtype=complex)
-    table[: coeffs.size] = coeffs
+    table[:K] = coeffs
     table = table.reshape(rows, b)              # table[m, j] = coeffs[m*b + j]
     out = np.empty(flat.size, dtype=complex)
-    powers = np.empty((b, min(_BLOCK, flat.size)), dtype=complex)
-    for lo in range(0, flat.size, _BLOCK):
-        zb = flat[lo: lo + _BLOCK]
+    powers = np.empty((b, min(block, flat.size)), dtype=complex)
+    for lo in range(0, flat.size, block):
+        zb = flat[lo: lo + block]
         p = powers[:, : zb.size]
         p[0] = 1.0
         for j in range(1, b):

@@ -127,6 +127,11 @@ class CumulativeMap:
         """Phi at arbitrary arclength points."""
         return TWO_PI * self._cum(s)
 
+    def phi_of(self, s) -> np.ndarray:
+        """The datum at arbitrary arclength points: the interpolant that Phi
+        integrates."""
+        return self._cum.interp(s)
+
     def theta_nodes(self) -> np.ndarray:
         """Phi at the datum's own uniform grid."""
         return TWO_PI * self._cum.node_values()

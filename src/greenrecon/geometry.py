@@ -334,18 +334,23 @@ def smallest_enclosing_circle(points: np.ndarray) -> tuple[complex, float]:
     The circles of S are computed as Welzl's incremental method
     (Welzl, LNCS 555, 1991) computes them over the same order, from the same
     formulas with the later point first, so when the circle's defining
-    points are unique the result is that method's to the bit.  Coordinates
-    are scaled by a power of two into `_COORD_RANGE` and the circle scaled
-    back, both exact.
+    points are unique the result is that method's to the bit.  The loop runs
+    on the differences p - points[0], scaled by a power of two into
+    `_COORD_RANGE`; the circle is scaled back, which is exact, and moved back
+    by points[0].  In that frame the circumcircle's squared coordinates are
+    of the domain's size, not of its distance from the origin, so a domain
+    far from the origin keeps its precision.
     """
     points = np.asarray(points, dtype=complex)
     if points.ndim != 1 or points.size == 0:
         raise InvalidInputError("need a non-empty 1-D array of points")
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("points must be finite")
-    shift = _coordinate_shift(points)
+    origin = complex(points[0])
+    local = points - origin
+    shift = _coordinate_shift(local)
     order = np.random.default_rng(20260808).permutation(points.size)
-    pts = _ldexp(points, -shift)[order]
+    pts = _ldexp(local, -shift)[order]
     circle, support = (complex(pts[0]), 0.0), [0]
     for _ in range(points.size):
         center, radius = circle
@@ -353,7 +358,7 @@ def smallest_enclosing_circle(points: np.ndarray) -> tuple[complex, float]:
         far = int(np.argmax(dist))
         allowed = radius * (1.0 + _COVER_SLACK) + _COVER_SLACK
         if dist[far] <= allowed:
-            return complex(_ldexp(center, shift)), math.ldexp(radius, shift)
+            return origin + complex(_ldexp(center, shift)), math.ldexp(radius, shift)
         circle, support = _support_circle(pts, sorted(support + [far]))
     raise ConvergenceError(points.size, float(dist[far] - radius), allowed - radius)
 

@@ -89,7 +89,7 @@ def reconstruct_fprime(phi: BoundaryFunction, zeta_o: complex, zeta_b: complex,
 
     theta = boundary_grid(n)
     s_of_theta = cm.s_of(theta)
-    psi = phi.interpolant()(s_of_theta)
+    psi = cm.phi_of(s_of_theta)
     if np.min(psi) <= 0:
         raise InvalidInputError("datum must stay strictly positive on the circle grid")
     g = np.log(1.0 / (TWO_PI * psi))

@@ -7,6 +7,7 @@ from greenrecon.boundary import (BoundaryFunction, COMPATIBILITY_TOL,
                                  INVERSION_TOL, build_cumulative,
                                  invert_cumulative, rescale_to_common_interval,
                                  validate_class)
+from greenrecon.conformal import forward_operator
 from greenrecon.errors import (CompatibilityError, DataFormatError,
                                InvalidInputError)
 from greenrecon.families import perturbed_disk
@@ -121,6 +122,14 @@ class TestInversion:
         nodes = cm.theta_nodes()
         slopes = np.diff(nodes) / (phi.L / phi.n)
         assert np.min(slopes) >= TWO_PI * phi.min_value() - 1e-10
+
+    @pytest.mark.parametrize("datum", [cosine_datum(n=256, L=3.3, amplitude=0.4),
+                                       forward_operator(perturbed_disk(0.2), 512)],
+                             ids=["cosine", "z+0.2z^2"])
+    def test_phi_of_is_the_datum_interpolant(self, datum):
+        cm = build_cumulative(datum)
+        s = cm.s_of(np.arange(512) * (TWO_PI / 512))
+        assert np.array_equal(cm.phi_of(s), datum.interpolant()(s))
 
     def test_pushforward_perimeter_identity(self):
         # integral over the circle of 1/(2 pi psi) recovers the perimeter

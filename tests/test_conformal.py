@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from greenrecon._spectral import _power_sum, derivative_samples
+from greenrecon._spectral import _blocking, _power_sum, derivative_samples
 from greenrecon.conformal import (ConformalMap, _on_nodes, _polyline_is_simple,
                                   _total_turning, arclength, boundary_grid, c1_gap,
                                   eval_boundary, eval_fprime, forward_operator)
@@ -183,14 +183,19 @@ def horner(coeffs, z):
 
 @st.composite
 def power_sums(draw):
-    """Coefficient counts around the 32 baby steps, point counts around the
-    512-point block, points on the unit circle or inside it."""
-    size = draw(st.sampled_from([1, 2, 31, 32, 33, 1025]))
-    count = draw(st.sampled_from([0, 1, 511, 512, 513, 2048]))
+    """Coefficient counts where the baby steps or the row count of
+    `_blocking` change, point counts on both sides of the first and second
+    block of the count drawn, points on the unit circle or inside it, and a
+    2-D z that is not contiguous (two columns of the points)."""
+    size = draw(st.sampled_from([1, 2, 8, 9, 13, 14, 32, 33, 127, 128, 513, 1024, 1025]))
+    block = _blocking(size)[2]
+    count = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    radius = 1.0 if draw(st.booleans()) else rng.uniform(0.0, 1.0, count)
-    return coeffs, radius * np.exp(1j * rng.uniform(0.0, TWO_PI, count))
+    shape = (2, count) if draw(st.booleans()) else (count,)
+    radius = 1.0 if draw(st.booleans()) else rng.uniform(0.0, 1.0, shape)
+    z = radius * np.exp(1j * rng.uniform(0.0, TWO_PI, shape))
+    return coeffs, z.T
 
 
 class TestPowerSum:
@@ -201,6 +206,17 @@ class TestPowerSum:
         got = _power_sum(coeffs, z)
         assert got.shape == z.shape
         assert np.all(np.abs(got - horner(coeffs, z)) <= 1e-13 * np.sum(np.abs(coeffs)))
+
+    @pytest.mark.parametrize("size", [*range(1, 40), 127, 128, 250, 513, 1023, 1024, 1025, 4097])
+    def test_blocking_fits_the_budget(self, size):
+        b, rows, block = _blocking(size)
+        assert 1 <= b <= 32 and b * rows >= size
+        assert (b + rows) * block <= 32768 or block == 512
+        assert block & (block - 1) == 0 and block >= 512
+        if size <= 13:
+            assert rows == 1
+        if size >= 1024:
+            assert (b, block) == (32, 512)
 
     def test_scalar_and_zero_d_inputs(self):
         f = perturbed_disk(0.3, k=3)

@@ -89,10 +89,13 @@ def scan_inscribed_circle(b):
 def welzl_enclosing_circle(points):
     """Oracle: Welzl's incremental method over Python complex scalars, as
     smallest_enclosing_circle computed it before its support-set iteration
-    (same shuffle, formulas and cover slack)."""
+    (same shuffle, formulas and cover slack), in the same frame: the
+    differences p - points[0], scaled by a power of two."""
     points = np.asarray(points, dtype=complex)
-    shift = geometry._coordinate_shift(points)
-    pts = [complex(p) for p in geometry._ldexp(points, -shift)]
+    origin = complex(points[0])
+    local = points - origin
+    shift = geometry._coordinate_shift(local)
+    pts = [complex(p) for p in geometry._ldexp(local, -shift)]
     rng = np.random.default_rng(20260808)
     order = rng.permutation(len(pts))
     shuffled = [pts[i] for i in order]
@@ -137,7 +140,7 @@ def welzl_enclosing_circle(points):
                 if candidate is not None:
                     circle = candidate
     center, radius = circle
-    return complex(geometry._ldexp(center, shift)), math.ldexp(radius, shift)
+    return origin + complex(geometry._ldexp(center, shift)), math.ldexp(radius, shift)
 
 
 def brute_force_enclosing_circle(points):
@@ -715,6 +718,17 @@ class TestEnclosingCircle:
     ], ids=["perturbed-0.49", "4096-gon"])
     def test_terminates_at_n4096(self, points):
         center, radius = smallest_enclosing_circle(points)
+        assert np.all(np.abs(points - center) <= radius * (1 + 1e-12))
+
+    @pytest.mark.parametrize("n", [512, 4096])
+    @pytest.mark.parametrize("zeta_o", [1e3, 1e4])
+    def test_far_from_the_origin(self, n, zeta_o):
+        # circumcircles formed in absolute coordinates lose |zeta_o|^2 * eps
+        # in their squares, which stops the iteration short of converging
+        _, radius_ref = smallest_enclosing_circle(boundary_of(perturbed_disk(0.2), n).points)
+        points = boundary_of(ConformalMap([zeta_o, 1.0, 0.2]), n).points
+        center, radius = smallest_enclosing_circle(points)
+        assert abs(radius - radius_ref) <= 1e-14 * radius_ref
         assert np.all(np.abs(points - center) <= radius * (1 + 1e-12))
 
     def test_iteration_cap_raises(self, monkeypatch):
