@@ -413,32 +413,43 @@ class TestSweep:
                      "--out", str(tmp_path / "x")]) == 1
 
 
+def _count_calls(monkeypatch, argv, *names):
+    """For each of ``stability``'s functions ``names``, the calls that one
+    ``main(argv)`` makes to it, as a Counter over (coefficients, n)."""
+    counts = [Counter() for _ in names]
+    lock = threading.Lock()
+
+    def counting(calls, real):
+        def counted(f, n, *args, **kwargs):
+            with lock:
+                calls[(tuple(f.coefficients), n)] += 1
+            return real(f, n, *args, **kwargs)
+        return counted
+
+    for name, calls in zip(names, counts):
+        monkeypatch.setattr(stability, name, counting(calls, getattr(stability, name)))
+    assert main(argv) == 0
+    return counts
+
+
 def _count_forward_calls(monkeypatch, argv):
     """(coefficients, n) -> forward_operator calls made by one ``main(argv)``."""
-    calls = Counter()
-    lock = threading.Lock()
-    real = stability.forward_operator
-
-    def counting(f, n, *args, **kwargs):
-        with lock:
-            calls[(tuple(f.coefficients), n)] += 1
-        return real(f, n, *args, **kwargs)
-
-    monkeypatch.setattr(stability, "forward_operator", counting)
-    assert main(argv) == 0
-    return calls
+    return _count_calls(monkeypatch, argv, "forward_operator")[0]
 
 
 class TestSweepComputesEachDatumOnce:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_one_forward_operator_call_per_domain(self, tmp_path, monkeypatch, jobs):
-        calls = _count_forward_calls(monkeypatch, [
+        calls, univalence = _count_calls(monkeypatch, [
             "sweep", "--family", "z+eps*z^2", "--eps", "0.05:0.15:0.1",
             "--theorem", "all", "--alpha", "0.5", "--n", "128",
-            "--jobs", jobs, "--out", str(tmp_path / "s")])
-        # f and its equal-perimeter rescaling per eps, and the unit disk
-        assert len(calls) == 2 * 2 + 1
+            "--jobs", jobs, "--out", str(tmp_path / "s")],
+            "forward_operator", "_univalence_faults")
+        # f per eps, and the unit disk; lugua's equal-perimeter rescaling of f
+        # is mapped from f's sample, with no datum and no univalence test of its own
+        assert len(calls) == 2 + 1
         assert set(calls.values()) == {1}
+        assert sum(univalence.values()) == 2 + 1
 
     @pytest.mark.parametrize("theorem", ["raggi", "disco"])
     def test_single_domain_theorem_builds_no_partner(self, tmp_path, monkeypatch, theorem):

@@ -11,13 +11,14 @@ from greenrecon._spectral import invert_increasing
 from greenrecon.conformal import _univalence_faults, forward_operator
 from greenrecon.errors import (AliasingError, CompatibilityError, InvalidInputError,
                                NotUnivalentError)
-from greenrecon.families import disk, disk_for_constant, equal_perimeter_pair, perturbed_disk
+from greenrecon.families import (disk, disk_for_constant, equal_perimeter_pair, fourier_disk,
+                                 perturbed_disk)
 from greenrecon.stability import (ConstantsBundle, DomainSample, StabilityReport,
                                   c_alpha, check_theorem_disco,
                                   check_theorem_lugua_hausdorff,
                                   check_theorem_raggi, check_theorem_stab_gen,
                                   check_theorem_ultimo, reports_to_csv, CSV_HEADER)
-from greenrecon.geometry import boundary_of, hausdorff_distance
+from greenrecon.geometry import align_rotation, boundary_of, hausdorff_distance
 from greenrecon.norms import holder_seminorm
 
 TWO_PI = 2 * np.pi
@@ -207,7 +208,8 @@ class TestDomainSample:
 
     def test_each_check_measures_each_seminorm_once(self, monkeypatch):
         # [phi - C]_a is the sample's [phi]_a; stab_gen measures [psi_1]_a,
-        # [psi_2]_a, [h]_a and [dpsi]_a once each, ultimo [dpsi]_a
+        # [psi_2]_a, [h]_a and [dpsi]_a once each, ultimo and lugua [dpsi]_a
+        # (lugua's rescaled sample maps its norms from d's)
         d, d0 = DomainSample(perturbed_disk(0.1), 128), DomainSample(disk(), 128)
         calls = []
 
@@ -220,11 +222,12 @@ class TestDomainSample:
         for check in (lambda: check_theorem_raggi(d),
                       lambda: check_theorem_disco(d, 1 / TWO_PI),
                       lambda: check_theorem_stab_gen(d, d0),
-                      lambda: check_theorem_ultimo(d, d0)):
+                      lambda: check_theorem_ultimo(d, d0),
+                      lambda: stability.THEOREMS["lugua"].run(d, d0)):
             calls.clear()
             check()
             counts.append(len(calls))
-        assert counts == [0, 0, 4, 1]
+        assert counts == [0, 0, 4, 1, 1]
 
     def test_under_resolved_grid_rejected_at_construction(self):
         with pytest.raises(AliasingError, match="grid size 64"):
@@ -283,6 +286,65 @@ class TestDomainSample:
         # the sample fixes alpha; a positional 0.5 must not bind to the next parameter
         with pytest.raises(TypeError):
             call(DomainSample(disk(), 64))
+
+
+SCALED_MAPS = {"perturbed": perturbed_disk(0.1),
+               "fourier": fourier_disk({2: 0.1 + 0.05j, 3: -0.04j, 5: 0.02})}
+
+
+def _sample_fields(d):
+    """Every array and number of a sample, by name."""
+    return dict(values=d.datum.values, derivative=d.datum.derivative_values, L=d.datum.L,
+                psi=d.circle[0], psi_prime=d.circle[1], points=d.polyline.points,
+                arclengths=d.polyline.arclengths, seminorm=d.seminorm, norm0=d.norm0,
+                norm1=d.norm1)
+
+
+class TestScaledSample:
+    """``DomainSample.scaled`` against the sample rebuilt from the dilated map."""
+
+    N = 512
+
+    @pytest.fixture(scope="class", params=list(SCALED_MAPS))
+    def sample(self, request):
+        return DomainSample(SCALED_MAPS[request.param], self.N)
+
+    def test_power_of_two_scales_are_exact(self, sample):
+        norms_ = ("seminorm", "norm0", "norm1")
+        for k in range(-20, 21):
+            c = 2.0 ** k
+            mapped = _sample_fields(sample.scaled(c))
+            rebuilt = _sample_fields(DomainSample(sample.f.scaled(c), self.N))
+            for name in set(mapped) - set(norms_):
+                assert np.array_equal(mapped[name], rebuilt[name]), (k, name)
+            for name in norms_:
+                assert abs(mapped[name] - rebuilt[name]) <= 8 * np.spacing(rebuilt[name]), (k, name)
+
+    def test_other_scales_agree_to_rounding(self, sample):
+        for c in (3.0, DomainSample(disk(), self.N).datum.L / sample.datum.L):
+            mapped = _sample_fields(sample.scaled(c))
+            rebuilt = _sample_fields(DomainSample(sample.f.scaled(c), self.N))
+            for name, x in rebuilt.items():
+                gap = np.max(np.abs(mapped[name] - x))
+                assert gap <= 1e-14 * np.max(np.abs(x)), (c, name, gap)
+
+    def test_keeps_map_grid_and_exponent(self, sample):
+        scaled = sample.scaled(3.0)
+        assert (scaled.n, scaled.alpha) == (sample.n, sample.alpha)
+        assert np.array_equal(scaled.f.coefficients, sample.f.scaled(3.0).coefficients)
+
+    def test_runs_no_forward_operator_or_univalence_test(self, sample, monkeypatch):
+        calls = []
+        for name in ("forward_operator", "_univalence_faults", "boundary_of"):
+            monkeypatch.setattr(stability, name, lambda *a, name=name: calls.append(name))
+        monkeypatch.setattr(norms, "holder_seminorm", lambda *a: calls.append("seminorm"))
+        sample.scaled(3.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_scale_refused(self, sample, c):
+        with pytest.raises(InvalidInputError, match="scale factor"):
+            sample.scaled(c)
 
 
 class TestStabGen:
@@ -476,6 +538,18 @@ class TestUltimo:
         rows = check_theorem_ultimo(d1, d2, p=7.0)
         assert "violated" in rows[0].notes
         assert all(r.passed for r in rows)
+
+    @pytest.mark.parametrize("alignment", ["proof", "optimal"])
+    def test_hausdorff_row_measures_the_aligned_partner(self, alignment):
+        # proof alignment of canonical samples turns by exactly 0.0 and reuses
+        # the partner's polyline; optimal alignment turns it and rebuilds it
+        n = 128
+        d1 = DomainSample(perturbed_disk(0.1), n)
+        d2 = DomainSample(fourier_disk({2: 0.05 + 0.05j, 3: 0.03}), n)
+        gamma, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
+        assert (gamma == 0.0) == (alignment == "proof")
+        rows = check_theorem_ultimo(d1, d2, alignment=alignment)
+        assert rows[-1].lhs == hausdorff_distance(d1.polyline, boundary_of(f2r, n))
 
 
 def _report_fields(r):
