@@ -181,15 +181,26 @@ class CumulativeTrig:
 
     def node_values(self) -> np.ndarray:
         """S at the original uniform nodes, computed by inverse FFT."""
-        n = self.interp.n
-        full = np.zeros(n // 2 + 1, dtype=complex)
+        return self.node_table()[1][:-1]
+
+    def node_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The nodes x_j, j = 0 ... n (x_n = period), and S, S' and S'' there:
+        S and S'' from two rows of one inverse FFT (a row equals the one-row
+        transform to the bit), S' from the samples."""
+        interp, n = self.interp, self.interp.n
+        full = np.zeros((2, n // 2 + 1), dtype=complex)
         # rfft normalization: irfft expects unscaled coefficients
-        full[1:] = self.interp.coeffs[1:] / (1j * self.interp.omega[1:]) * n
-        # Nyquist cosine integrates to a sine, which vanishes at the nodes
-        full[-1] = 0.0
-        periodic = np.fft.irfft(full, n)
+        full[0, 1:] = interp.coeffs[1:] / (1j * interp.omega[1:]) * n
+        full[1] = interp.coeffs * (1j * interp.omega) * n
+        # the Nyquist cosine integrates and differentiates to a sine, which
+        # vanishes at the nodes
+        full[:, -1] = 0.0
+        periodic, curvature = np.fft.irfft(full, n)
         x = uniform_grid(n, self.period)
-        return self.mean * x + periodic - periodic[0]
+        values = self.mean * x + periodic - periodic[0]
+        slopes = interp.values + (self.mean - interp.mean)
+        return (np.append(x, self.period), np.append(values, self.total),
+                np.append(slopes, slopes[0]), np.append(curvature, curvature[0]))
 
 
 def derivative_samples(values, period: float) -> np.ndarray:
@@ -240,21 +251,18 @@ def trig_sup_abs(values) -> float:
     return float(max(best, y0, np.max(np.abs(values))))
 
 
-def _newton_seed(cumulative: CumulativeTrig, t: np.ndarray) -> np.ndarray:
+def _newton_seed(xs: np.ndarray, ss: np.ndarray, slopes: np.ndarray,
+                 t: np.ndarray) -> np.ndarray:
     """Starting guesses for S(x) = t: the cubic-Hermite interpolant of the
-    inverse through the node table (x_j, S(x_j)) with slopes 1/S'(x_j), one
-    irfft and no synthesis, clipped to each target's node interval.  Falls
-    back to the linear guess everywhere if the table is not strictly
-    increasing, and for a target next to a node slope that is not positive."""
-    n, period = cumulative.interp.n, cumulative.period
-    linear = period * np.clip(t / cumulative.total, 0.0, 1.0)
-    xs = np.append(uniform_grid(n, period), period)
-    ss = np.append(cumulative.node_values(), cumulative.total)
+    inverse through the node table (x_j, S(x_j)) with slopes 1/S'(x_j),
+    clipped to each target's node interval.  Falls back to the linear guess
+    everywhere if the table is not strictly increasing, and for a target next
+    to a node slope that is not positive."""
+    n, period = xs.size - 1, xs[-1]
+    linear = period * np.clip(t / ss[-1], 0.0, 1.0)
     h = np.diff(ss)
     if not np.all(h > 0):
         return linear
-    slopes = cumulative.interp.values + (cumulative.mean - cumulative.interp.mean)
-    slopes = np.append(slopes, slopes[0])
     j = np.clip(np.searchsorted(ss, t, side="right") - 1, 0, n - 1)
     ok = (slopes[j] > 0) & (slopes[j + 1] > 0)
     inv = 1.0 / np.where(slopes > 0, slopes, 1.0)   # dx/dS at the nodes
@@ -264,17 +272,55 @@ def _newton_seed(cumulative: CumulativeTrig, t: np.ndarray) -> np.ndarray:
     return np.where(ok, np.clip(seed, xs[j], xs[j + 1]), linear)
 
 
+def _table_slope(xs: np.ndarray, slopes: np.ndarray, curvature: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """S'(x) from the cubic Hermite through the node values S'(x_j) with
+    derivatives S''(x_j), without synthesis: within E = h**4/384 * max|S^(5)|
+    of the interpolant's own slope."""
+    h = xs[1]
+    j = np.clip((x / h).astype(int), 0, xs.size - 2)
+    u = (x - xs[j]) / h
+    v = 1.0 - u
+    return (v * v * (1.0 + 2.0 * u) * slopes[j] + u * u * (1.0 + 2.0 * v) * slopes[j + 1]
+            + h * u * v * (v * curvature[j] - u * curvature[j + 1]))
+
+
+def _step_bounds(cumulative: CumulativeTrig, h: float) -> tuple[float, float, float]:
+    """(E, M2, M1): bounds on |S'(x) - _table_slope(x)|, |S''| and |S'|, read
+    off the interpolant's weighted coefficients |c_k| at frequencies w_k:
+    E = h**4/384 * sum |c_k| w_k**4, M2 = sum |c_k| w_k, and
+    M1 = |mean shift| + sum |c_k|."""
+    interp = cumulative.interp
+    c, w = np.abs(interp._w * interp.coeffs), interp.omega
+    w2 = w * w
+    return (h ** 4 / 384.0 * float(c @ (w2 * w2)), float(c @ w),
+            abs(cumulative.mean - interp.mean) + float(np.sum(c)))
+
+
 def invert_increasing(cumulative: CumulativeTrig, targets,
                       tol: float | None = None, max_iter: int = 100) -> np.ndarray:
     """Solve S(x) = t for each target on [0, period], S strictly increasing.
 
     Newton iteration on the interpolant from the node-table seed, with a
-    bracketing bisection fallback; terminates when every residual
-    |S(x) - t| falls below ``tol`` (default: a few dozen ulps of the total
-    increment, which keeps downstream spectra at rounding level), else
-    raises :class:`ConvergenceError` after ``max_iter`` iterations.
+    bracketing bisection fallback.  An iteration is one synthesis of the
+    residuals r = S(x) - t.  It ends the solve when every |r| is below
+    ``tol`` (default: a few dozen ulps of the total increment, which keeps
+    downstream spectra at rounding level); otherwise it steps to
+    x' = x - r/m with the slope m of :func:`_table_slope`, which costs no
+    synthesis (on rough data, where its bound E exceeds min|m|/8, m is the
+    synthesized S' instead).  The step leaves |S(x') - t| at most
+    max|r| E/(min m - E) + M2 max|r/m|**2 / 2 + M1 eps (period + max|r/m|)
+    (bounds of :func:`_step_bounds`); when no target was bisected and that
+    is below ``tol``, the step is certified and x' is returned without
+    synthesizing S(x') (targets pinned to an end aside).  So resolved data
+    take one synthesis, and ``max_iter = 1`` can succeed.  Raises
+    :class:`ConvergenceError` after ``max_iter`` iterations without either
+    exit, and :class:`InvalidInputError` for a NaN target; targets beyond
+    the range, +-inf included, map to the nearer end.
     """
     t = np.atleast_1d(np.asarray(targets, dtype=float))
+    if np.any(np.isnan(t)):
+        raise InvalidInputError("inversion targets must not be NaN")
     hi = cumulative.period
     span = cumulative.total            # S(0) = 0 and S(period) = total by construction
     if not span > 0:
@@ -282,9 +328,12 @@ def invert_increasing(cumulative: CumulativeTrig, targets,
     if tol is None:
         tol = 64.0 * np.finfo(float).eps * span
     t = np.clip(t, 0.0, span)  # targets beyond the range map to the nearer end
+    free = (t > 0.0) & (t < span)      # the targets not pinned to an end at the return
+    xs, ss, slopes, curvature = cumulative.node_table()
+    E, M2, M1 = _step_bounds(cumulative, xs[1])
     xlo = np.zeros(t.shape)
     xhi = np.full(t.shape, hi)
-    x = _newton_seed(cumulative, t)
+    x = _newton_seed(xs, ss, slopes, t)
     worst = np.inf
     for _ in range(max_iter):
         resid = cumulative(x) - t
@@ -293,10 +342,26 @@ def invert_increasing(cumulative: CumulativeTrig, targets,
             break
         xlo = np.where(resid < 0, x, xlo)
         xhi = np.where(resid > 0, x, xhi)
+        m = _table_slope(xs, slopes, curvature, x)
+        if not E <= 0.125 * np.min(np.abs(m)):
+            # rough data: a slope off by more than m/8 would leave Newton's
+            # step a slow contraction, so S' is synthesized instead
+            m = cumulative.slope(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - resid / cumulative.slope(x)
+            step = resid / m
+        xn = x - step
         bad = ~np.isfinite(xn) | (xn < xlo) | (xn > xhi)
         x = np.where(bad, 0.5 * (xlo + xhi), xn)
+        if np.any(bad & free):
+            continue
+        if not np.any(free):
+            break
+        low = float(np.min(m[free]))
+        delta = float(np.max(np.abs(step[free])))
+        if low > E and (float(np.max(np.abs(resid[free]))) * E / (low - E)
+                        + 0.5 * M2 * delta * delta
+                        + M1 * np.finfo(float).eps * (hi + delta)) <= tol:
+            break
     else:
         raise ConvergenceError(max_iter, worst, tol)
     # pin exact endpoints

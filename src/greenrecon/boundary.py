@@ -140,9 +140,12 @@ class CumulativeMap:
         """Inverse map: arclength with |Phi(s) - theta| below tolerance.
 
         Angles outside [0, 2*pi] are reduced modulo 2*pi (documented
-        behavior); the endpoints 0 and 2*pi map exactly to 0 and L.
+        behavior); the endpoints 0 and 2*pi map exactly to 0 and L.  A NaN or
+        infinite angle, which has no residue, raises :class:`InvalidInputError`.
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        if not np.all(np.isfinite(theta)):
+            raise InvalidInputError("angles must be finite")
         reduced = np.where((theta >= 0) & (theta <= TWO_PI), theta, np.mod(theta, TWO_PI))
         targets = reduced / TWO_PI
         # default tolerance sits at rounding level, far inside INVERSION_TOL

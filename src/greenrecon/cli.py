@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -346,14 +347,24 @@ _HANDLERS = {"forward": _cmd_forward, "invert": _cmd_invert, "roundtrip": _cmd_r
              "hausdorff": _cmd_hausdorff, "check": _cmd_check, "sweep": _cmd_sweep}
 
 
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """:func:`_build_parser`'s parser, built once per process; nothing
+    changes it after."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser, commands = _shared_parser()
     args = parser.parse_args(argv)
     try:
-        subparser, actions = commands[args.command]
-        # read before a config file's values become the parser's defaults
+        actions = commands[args.command][1]
         defaults = {dest: action.default for dest, action in actions.items()}
         if args.config:
+            # a config file's values become the defaults of a parser of this
+            # call's own, never of the shared one
+            parser, commands = _build_parser()
+            subparser, actions = commands[args.command]
             subparser.set_defaults(**_read_config(Path(args.config), args.command, actions))
             args = parser.parse_args(argv)  # flags override the file's defaults
         for dest, check in _RANGES.items():

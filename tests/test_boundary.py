@@ -116,6 +116,12 @@ class TestInversion:
         assert invert_cumulative(cm, TWO_PI + np.pi) == pytest.approx(np.pi, abs=1e-10)
         assert invert_cumulative(cm, -np.pi) == pytest.approx(np.pi, abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_refused(self, bad):
+        cm = build_cumulative(cosine_datum())
+        with pytest.raises(InvalidInputError):
+            cm.s_of([1.0, bad])
+
     def test_slopes_bounded_below(self):
         phi = cosine_datum()
         cm = build_cumulative(phi)

@@ -230,6 +230,18 @@ class TestConfigFile:
         assert (args.M0, args.M1, args.P, args.p) == (5.0, 6.0, 100.0, 0.5)
         assert args.m is None
 
+    def test_config_defaults_do_not_outlive_their_call(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\nn = 128\nemit-plots = true\n")
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, "sweep", lambda args: seen.append(args) or 0)
+        argv = ["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.1:0.1", "--theorem", "raggi"]
+        parser = cli._shared_parser()
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert main(argv) == 0
+        assert [(args.n, args.emit_plots) for args in seen] == [(128, True), (512, False)]
+        assert cli._shared_parser() is parser
+
     def test_option_a_command_ignores_is_refused(self, tmp_path, disk_map, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["invert", "--data", "datum.bdata", "--zeta-b", "1,0", "--alpha", "0.5"])

@@ -9,11 +9,14 @@ what is measured is the rounding of the synthesis itself.
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenrecon
 from greenrecon import _spectral, conformal
+from greenrecon.boundary import build_cumulative
 from greenrecon._spectral import TrigInterpolant, invert_increasing
-from greenrecon.errors import ConvergenceError, GreenreconError
+from greenrecon.errors import ConvergenceError, GreenreconError, InvalidInputError
 from greenrecon.families import perturbed_disk
 
 PERIOD = 3.7
@@ -188,6 +191,15 @@ def positive_cumulative(n=512):
     return TrigInterpolant(values, PERIOD).antiderivative()
 
 
+@pytest.fixture
+def synthesis_calls(monkeypatch):
+    """A list that gets one entry per call of `_synthesize`."""
+    synthesize, calls = _spectral._synthesize, []
+    monkeypatch.setattr(_spectral, "_synthesize",
+                        lambda *args, **kwargs: calls.append(1) or synthesize(*args, **kwargs))
+    return calls
+
+
 class TestInvertIncreasing:
     @pytest.mark.parametrize("tol", [None, 1e-13])
     def test_every_residual_within_tol(self, tol):
@@ -206,24 +218,25 @@ class TestInvertIncreasing:
         assert x[0] == 0.0 and x[2] == PERIOD
         assert abs(cum(x[1])[0] - cum.total / 2) <= 1e-13
 
-    def test_forward_inversion_makes_at_most_three_syntheses(self, monkeypatch):
-        synthesize = _spectral._synthesize
-        calls, per_inversion = [], []
-
-        def counting_synthesis(*args, **kwargs):
-            calls.append(1)
-            return synthesize(*args, **kwargs)
-
-        def counted_inversion(*args, **kwargs):
-            calls.clear()
-            x = invert_increasing(*args, **kwargs)
-            per_inversion.append(len(calls))
-            return x
-
-        monkeypatch.setattr(_spectral, "_synthesize", counting_synthesis)
-        monkeypatch.setattr(conformal, "invert_increasing", counted_inversion)
+    def test_forward_inversion_makes_one_synthesis(self, synthesis_calls):
+        # forward_operator synthesizes nothing but its inversion's residual
         conformal.forward_operator(perturbed_disk(0.3), 2048)
-        assert len(per_inversion) == 1 and 1 <= per_inversion[0] <= 3
+        assert synthesis_calls == [1]
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_cumulative_map_inversion_makes_one_synthesis(self, synthesis_calls, n):
+        # a datum at n = 128 takes 3 (the parent loop 5), at n = 256 takes 2
+        cm = build_cumulative(conformal.forward_operator(perturbed_disk(0.3), n))
+        synthesis_calls.clear()
+        cm.s_of(conformal.boundary_grid(n))
+        assert synthesis_calls == [1]
+
+    def test_nan_target_refused_before_any_synthesis(self, synthesis_calls):
+        cum = positive_cumulative()
+        with pytest.raises(InvalidInputError):
+            invert_increasing(cum, [1.0, np.nan])
+        assert synthesis_calls == []
+        assert np.array_equal(invert_increasing(cum, [-np.inf, np.inf]), [0.0, PERIOD])
 
     def test_iteration_limit_raises(self):
         cum = positive_cumulative()
@@ -274,3 +287,142 @@ class TestInversionFallback:
         with pytest.raises(ConvergenceError) as err:
             invert_increasing(cum, targets, tol=1e-13, max_iter=1)
         assert err.value.iterations == 1
+
+
+def synthesized_slope_inversion(cum, targets):
+    """The inversion loop before the certified step, kept as an oracle: the
+    same node-table seed, then Newton steps with the synthesized slope until a
+    synthesized residual is within the default tol (three syntheses on
+    resolved data, one more than the certified loop's iterations)."""
+    n, hi, span = cum.interp.n, cum.period, cum.total
+    tol = 64.0 * np.finfo(float).eps * span
+    t = np.clip(np.atleast_1d(np.asarray(targets, dtype=float)), 0.0, span)
+    linear = hi * np.clip(t / span, 0.0, 1.0)
+    xs = np.append(_spectral.uniform_grid(n, hi), hi)
+    ss = np.append(cum.node_values(), span)
+    h = np.diff(ss)
+    x = linear
+    if np.all(h > 0):
+        slopes = cum.interp.values + (cum.mean - cum.interp.mean)
+        slopes = np.append(slopes, slopes[0])
+        j = np.clip(np.searchsorted(ss, t, side="right") - 1, 0, n - 1)
+        ok = (slopes[j] > 0) & (slopes[j + 1] > 0)
+        inv = 1.0 / np.where(slopes > 0, slopes, 1.0)
+        u = (t - ss[j]) / h[j]
+        seed = (xs[j] + u * u * (3.0 - 2.0 * u) * (xs[j + 1] - xs[j])
+                + h[j] * u * (1.0 - u) * ((1.0 - u) * inv[j] - u * inv[j + 1]))
+        x = np.where(ok, np.clip(seed, xs[j], xs[j + 1]), linear)
+    xlo, xhi = np.zeros(t.shape), np.full(t.shape, hi)
+    for _ in range(100):
+        resid = cum(x) - t
+        if np.max(np.abs(resid)) <= tol:
+            break
+        xlo = np.where(resid < 0, x, xlo)
+        xhi = np.where(resid > 0, x, xhi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - resid / (cum.interp(x) + (cum.mean - cum.interp.mean))
+        bad = ~np.isfinite(xn) | (xn < xlo) | (xn > xhi)
+        x = np.where(bad, 0.5 * (xlo + xhi), xn)
+    else:
+        raise AssertionError("oracle did not converge")
+    return np.where(t <= 0.0, 0.0, np.where(t >= span, hi, x))
+
+
+def assert_matches_oracle(cum, targets):
+    """invert_increasing against the oracle: every target within 1 ulp.  The
+    table slope is within 1e-7 relative of the synthesized one, which moves a
+    last step below an ulp at n >= 512, so a target may round to the other
+    neighbour; on every case here the two agree to the bit."""
+    got = invert_increasing(cum, targets)
+    want = synthesized_slope_inversion(cum, targets)
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
+def both_inversions(f, n):
+    """The arclength inversion of `forward_operator` and the inverse
+    cumulative map of the datum, each with its targets."""
+    arclength = conformal._arclength_map(f, n)
+    cm = build_cumulative(conformal.forward_operator(f, n))
+    return [(arclength, _spectral.uniform_grid(n, arclength.total)),
+            (cm._cum, conformal.boundary_grid(n) / (2 * np.pi))]
+
+
+@st.composite
+def positive_data(draw):
+    """1 + Re sum c_k e^{ikt} at n nodes: up to 8 modes <= 16, sum |c_k| <= 0.5."""
+    n = draw(st.sampled_from([16, 64, 512, 2048]))
+    modes = np.array(draw(st.lists(st.integers(1, 16), min_size=1, max_size=8, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = rng.standard_normal(modes.size) + 1j * rng.standard_normal(modes.size)
+    c *= draw(st.floats(0.0, 0.5)) / np.sum(np.abs(c))
+    t = 2 * np.pi * np.arange(n) / n
+    return TrigInterpolant(1.0 + (np.exp(1j * np.outer(t, modes)) @ c).real, PERIOD)
+
+
+class TestCertifiedStep:
+    @pytest.mark.parametrize("n", [512, 2048, 4096])
+    @pytest.mark.parametrize("eps", [0.05, 0.2])
+    def test_quadratic_family_matches_the_oracle(self, eps, n):
+        for cum, targets in both_inversions(perturbed_disk(eps), n):
+            assert_matches_oracle(cum, targets)
+
+    def test_roundtrip_benchmark_maps_match_the_oracle(self):
+        from perfbench.workloads import ROUNDTRIP_N, make_inputs
+        for f in make_inputs("roundtrip", 1):
+            for cum, targets in both_inversions(f, ROUNDTRIP_N):
+                assert_matches_oracle(cum, targets)
+
+    def test_one_iteration_suffices_on_resolved_data(self):
+        (cum, targets), _ = both_inversions(perturbed_disk(0.2), 512)
+        assert np.array_equal(invert_increasing(cum, targets, max_iter=1),
+                              invert_increasing(cum, targets))
+
+    @pytest.mark.parametrize("make", [positive_cumulative, coarse_cumulative,
+                                      peaked_cumulative, touching_cumulative])
+    def test_table_slope_within_its_bound(self, make):
+        cum = make()
+        xs, _, slopes, curvature = cum.node_table()
+        E = _spectral._step_bounds(cum, xs[1])[0]
+        x = np.random.default_rng(5).uniform(0.0, PERIOD, 2000)
+        exact = cum.interp(x) + (cum.mean - cum.interp.mean)
+        assert np.max(np.abs(_spectral._table_slope(xs, slopes, curvature, x) - exact)) <= E
+        assert np.allclose(_spectral._table_slope(xs, slopes, curvature, xs), slopes,
+                           rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [256, 512, 2048])
+    def test_step_next_to_a_zero_slope_is_not_certified(self, n):
+        """1 - cos t vanishes at t = 0.  The target 1e-12 takes the linear
+        guess, whose step leaves the bracket and is bisected; the two others
+        would certify on their own.  The solve must go on, and the steps of
+        the targets in the first node interval certify only with the
+        quadratic term counted."""
+        t = 2 * np.pi * np.arange(n) / n
+        cum = TrigInterpolant(1.0 - np.cos(t), PERIOD).antiderivative()
+        for targets in ([1e-12, cum.total / 3, cum.total / 2],
+                        np.linspace(0.0, cum.total, 1001)):
+            x = invert_increasing(cum, targets)
+            assert np.max(np.abs(cum(x) - targets)) <= 64.0 * np.finfo(float).eps * cum.total
+
+    @pytest.mark.parametrize("n, kind", [(16, "spike"), (64, "spike"), (64, "noise"),
+                                         (1024, "noise")])
+    def test_rough_data_take_no_more_syntheses_than_the_oracle(self, synthesis_calls, n, kind):
+        """Where the table slope's bound is loose the slope is synthesized,
+        so Newton's steps stay as fast as the oracle's."""
+        t = 2 * np.pi * np.arange(n) / n
+        values = {"spike": 1.0 + 10.0 * np.exp(-(np.sin((t - np.pi) / 2) / 0.05) ** 2),
+                  "noise": 1.0 + 0.5 * np.random.default_rng(n).uniform(-1.0, 1.0, n)}[kind]
+        cum = TrigInterpolant(values, PERIOD).antiderivative()
+        targets = np.linspace(0.0, cum.total, 1001)
+        synthesized_slope_inversion(cum, targets)
+        oracle = len(synthesis_calls)
+        synthesis_calls.clear()
+        invert_increasing(cum, targets)
+        assert len(synthesis_calls) <= oracle
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(positive_data())
+    def test_every_returned_residual_within_tol(self, interp):
+        cum = interp.antiderivative()
+        targets = np.linspace(0.0, cum.total, 257)
+        x = invert_increasing(cum, targets)
+        assert np.max(np.abs(cum(x) - targets)) <= 64.0 * np.finfo(float).eps * cum.total
