@@ -1,9 +1,11 @@
 """greenrecon: planar domains from Green's-function boundary data.
 
-A numpy/scipy library for the forward operator taking a conformal map of the
+A numpy library for the forward operator taking a conformal map of the
 unit disk to the boundary normal derivative of the domain's Green's function,
 the inverse reconstruction of the map from that datum, and numerical
 verification of quantitative stability inequalities with explicit constants.
+Importing it loads no scipy module: scipy's KD-tree serves only fallbacks,
+and is imported where they run.
 """
 
 from .boundary import (BoundaryFunction, CumulativeMap, build_cumulative,

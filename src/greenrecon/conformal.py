@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._spectral import TrigInterpolant, _chopped, _power_sum, invert_increasing, uniform_grid
 from .boundary import COMPATIBILITY_TOL, BoundaryFunction
@@ -161,6 +160,8 @@ def _polyline_is_simple(points: np.ndarray, chunk: int = 1 << 16) -> bool:
         turns = np.angle(np.roll(rel, -1) / rel)
     if np.all((turns > 0) & (turns < np.pi)) and np.sum(turns) < 3 * np.pi:
         return True
+    from scipy.spatial import cKDTree
+
     n = points.size
     p = np.column_stack([points.real, points.imag])
     d = np.roll(p, -1, axis=0) - p

@@ -10,7 +10,6 @@ from itertools import chain
 from operator import itemgetter
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .conformal import ConformalMap, _total_turning, arclength, eval_boundary
 from .errors import ConvergenceError, InvalidInputError
@@ -24,6 +23,17 @@ _KD_ATOL = 2.0 ** -500
 # the points of b, by offset in polar-angle order, that bound a point's
 # nearest distance from above before the KD-tree runs
 _ANGLE_NEIGHBOURS = np.arange(-3, 3)
+# an angular window takes the points of b within asin(u / r) of a survivor's
+# polar angle, u its bound and r its distance to the center: u is widened and
+# r narrowed by a relative margin and by the least normal float (for
+# subnormal distances), the half-angle by the relative margin and by an
+# absolute one in radians, for the few-ulp error of each computed angle
+_WINDOW_RTOL = 1e-12
+_WINDOW_ATOL = np.finfo(float).tiny
+_ANGLE_ATOL = 1e-12
+# the survivors' windows are scanned when they hold at most this many
+# points of b per point of b in all, about what building the KD-tree costs
+_WINDOW_BUDGET = 32
 # how far above the least squared point-to-edge distance an edge may still
 # hold the least hypot: relative, and absolute for squares that underflow
 _SQ_RTOL = 1e-12
@@ -115,6 +125,8 @@ def _directed_sup_inf(a: np.ndarray, b: np.ndarray) -> float:
     power of two into [0.5, 1) first, which is exact and keeps the tree's
     squared distances clear of overflow and of most underflow.
     """
+    from scipy.spatial import cKDTree
+
     top = max(np.max(np.abs(z)) for z in (a.real, a.imag, b.real, b.imag))
     exponent = np.frexp(top)[1]
     scaled_a, scaled_b = (np.ldexp(np.column_stack([z.real, z.imag]), -exponent)
@@ -141,46 +153,82 @@ def _by_angle(points: np.ndarray, center: complex) -> tuple[np.ndarray, np.ndarr
 
 
 def _pruned_sup_inf(a: np.ndarray, theta_a: np.ndarray, b: np.ndarray,
-                    theta_b: np.ndarray, floor: float = 0.0) -> float:
-    """max(floor, sup over a of inf over b of |a - b|), the same bits as
-    :func:`_directed_sup_inf`, which runs only on the points of a that can
-    hold the supremum (Taha & Hanbury, IEEE TPAMI 2015).
+                    theta_b: np.ndarray, center: complex, floor: float = 0.0) -> float:
+    """max(floor, sup over a of inf over b of |a - b|), exact over the sample
+    pairs: the same bits as a brute-force scan (Taha & Hanbury, IEEE TPAMI
+    2015).
 
-    b is sorted by the polar angles ``theta_b``.  Each point of a takes as
-    upper bound u the least ``np.abs`` distance to the points of b nearest in
-    angle; one exact row, the nearest distance at the point of largest u,
-    bounds the supremum from below, and ``low`` is the larger of it and
-    ``floor``.  A point with u <= low has its nearest distance at most low,
-    so only the points with u > low go to the kernel.  The angles decide only
-    how many points survive, never the value.
+    b is sorted by the polar angles ``theta_b`` about ``center``.  Each point
+    of a takes as upper bound u the least ``np.abs`` distance to the points
+    of b nearest in angle; one exact row, the nearest distance at the point
+    of largest u, bounds the supremum from below, and ``low`` is the larger
+    of it and ``floor``.  A point with u <= low has its nearest distance at
+    most low, so only the points with u > low survive.  The points of b
+    within u of a survivor at distance r > u from the center lie within
+    asin(u / r) of its polar angle, so its nearest distance is the least
+    ``np.abs`` over that window of b, with u, r and the half-angle widened by
+    a rounding margin.  The survivors go to :func:`_directed_sup_inf`
+    instead when one of them has no window (its disk of radius u holds the
+    center) or when their windows hold more than ``_WINDOW_BUDGET`` points
+    of b per point of b in all.  The angles decide only which points are
+    scanned, never the value.
     """
     k = np.searchsorted(theta_b, theta_a)
     near = (k[:, None] + _ANGLE_NEIGHBOURS) % b.size
     upper = np.min(np.abs(a[:, None] - b[near]), axis=1)
     low = max(floor, float(np.min(np.abs(a[np.argmax(upper)] - b))))
-    rest = a[upper > low]
-    return max(low, _directed_sup_inf(rest, b)) if rest.size else low
+    survive = upper > low
+    rest, theta_a, upper = a[survive], theta_a[survive], upper[survive]
+    if not rest.size:
+        return low
+    reach = upper * (1.0 + _WINDOW_RTOL) + _WINDOW_ATOL
+    radius = np.abs(rest - center) * (1.0 - _WINDOW_RTOL) - _WINDOW_ATOL
+    if np.all(reach < radius):
+        half = np.arcsin(reach / radius) * (1.0 + _WINDOW_RTOL) + _ANGLE_ATOL
+        # half < pi/2 + margin, so a window wraps past at most one end of
+        # (-pi, pi]; it is a run of indices into b repeated three times
+        start, stop = theta_a - half, theta_a + half
+        below, above = start < -np.pi, stop > np.pi
+        n = b.size
+        lo = (np.searchsorted(theta_b, np.where(below, start + TWO_PI, start))
+              + np.where(below, 0, n))
+        hi = (np.searchsorted(theta_b, np.where(above, stop - TWO_PI, stop), side="right")
+              + np.where(above, 2 * n, n))
+        counts = hi - lo
+        ends = np.cumsum(counts)
+        if ends[-1] <= _WINDOW_BUDGET * n:
+            # every window holds the point of b that gave its bound u, so
+            # none is empty, as reduceat needs
+            starts = ends - counts
+            rows = np.arange(ends[-1]) + np.repeat(lo - starts, counts)
+            diff = np.concatenate([b, b, b])[rows]
+            np.subtract(np.repeat(rest, counts), diff, out=diff)
+            return max(low, float(np.max(np.minimum.reduceat(np.abs(diff), starts))))
+    return max(low, _directed_sup_inf(rest, b))
 
 
 def hausdorff_distance(b1: DomainBoundary, b2: DomainBoundary) -> float:
     """Two-sided Hausdorff distance between the sampled boundaries, exact over
     the sample sets (larger of the two directed sup-inf distances).
 
-    Each directed distance is certified before the KD-tree runs: an upper
-    bound per point from the samples nearest in polar angle about
-    ``b1.zeta_o``, one exact row at the point of largest bound, and a strict
-    prune of every point whose bound does not exceed that row's value (or,
-    in the second direction, the first direction's distance).  The KD-tree
-    kernel sees only the survivors (none for identical boundaries or for a
-    map against its rebuilt map), so the result equals the brute-force pair
-    scan to the bit; the worst case, when every point survives, is the
-    kernel's cost plus O(n).
+    Both boundaries are sorted by polar angle about ``b1.zeta_o``.  In each
+    direction an upper bound per point from the samples nearest in angle,
+    one exact row at the point of largest bound, and a strict prune of every
+    point whose bound does not exceed that row's value (or, in the second
+    direction, the first direction's distance) leave a few survivors (none
+    for identical boundaries or for a map against its rebuilt map).  Each
+    survivor is finished on the angular window about ``b1.zeta_o`` that its
+    bound allows, so the result equals the brute-force pair scan to the bit.
+    The survivors take the KD-tree kernel instead when a bound disk holds
+    ``b1.zeta_o``, as when the boundaries lie apart, or when the windows are
+    wide in all; the worst case is then the kernel's cost plus O(n).
     """
-    s1 = _by_angle(b1.points, b1.zeta_o)
-    s2 = _by_angle(b2.points, b1.zeta_o)
+    c = b1.zeta_o
+    s1 = _by_angle(b1.points, c)
+    s2 = _by_angle(b2.points, c)
     # the first direction's value is a floor for the second: a point of b2
     # that cannot exceed it cannot change the maximum
-    return _pruned_sup_inf(*s2, *s1, floor=_pruned_sup_inf(*s1, *s2))
+    return _pruned_sup_inf(*s2, *s1, c, floor=_pruned_sup_inf(*s1, *s2, c))
 
 
 def hausdorff_discretization_bound(b1: DomainBoundary, b2: DomainBoundary) -> float:

@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -567,3 +570,36 @@ class TestTheoremTable:
         for a, b in zip(moved, origin):
             for i in (2, 3, 4):  # lhs, rhs, K
                 assert float(a[i]) == pytest.approx(float(b[i]), rel=1e-14, abs=0)
+
+
+# Runs every command that a workload reaches in a fresh interpreter, then
+# prints the scipy modules loaded.
+NO_SCIPY_SCRIPT = """
+import sys
+from greenrecon.cli import main
+f, g, out = sys.argv[1:]
+for argv in (
+        ["forward", "--map", f, "--n", "128", "--out", out + "/fwd"],
+        ["invert", "--data", out + "/fwd/datum.bdata", "--zeta-b", "1.1,0", "--n", "128",
+         "--out", out + "/inv"],
+        ["roundtrip", "--map", f, "--n", "128", "--out", out + "/rt"],
+        ["check", "--theorem", "ultimo", "--map", f, "--map2", g, "--n", "128",
+         "--out", out + "/chk"],
+        ["sweep", "--family", "z+eps*z^2", "--eps", "0.1:0.2:0.1", "--theorem", "all",
+         "--n", "64", "--out", out + "/sw"]):
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_commands_load_no_scipy_module(tmp_path, pert_map):
+    other = tmp_path / "g.map"
+    save_map(other, perturbed_disk(0.2))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(pert_map), str(other), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

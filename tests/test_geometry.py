@@ -184,6 +184,13 @@ def moved(f, zeta_o):
     return ConformalMap(np.r_[zeta_o, f.coefficients[1:]])
 
 
+def translated_pair(shift):
+    """perturbed_disk(0.1) at n = 4096 against itself moved by shift."""
+    b = boundary_of(perturbed_disk(0.1), 4096)
+    return b, DomainBoundary(points=b.points + shift, zeta_o=b.zeta_o + shift,
+                             arclengths=b.arclengths)
+
+
 def jagged_star(seed, n):
     """A closed polyline about 0 with n independent random radii in [1, 1.3)."""
     theta = np.arange(n) * (TWO_PI / n)
@@ -200,6 +207,19 @@ class TestHausdorffEqualsPairScan:
         b1 = polyline(scale * (center + p1), scale * center)
         b2 = polyline(scale * (center + p2), scale * center)
         assert hausdorff_distance(b1, b2) == pair_scan_hausdorff(b1, b2)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(p1=star_points(), p2=star_points(),
+           shift=st.complex_numbers(max_magnitude=5.0),
+           scale=st.sampled_from([1.0, 1e-160, 3e5]))
+    def test_shifted_polylines(self, p1, p2, shift, scale):
+        # the second boundary's points lie anywhere about the first one's base
+        # point: near it (the KD-tree fallback), across the angle cut (windows
+        # that wrap) and far out (narrow windows)
+        b1 = polyline(scale * p1)
+        b2 = polyline(scale * (p2 + shift), scale * shift)
+        assert hausdorff_distance(b1, b2) == pair_scan_hausdorff(b1, b2)
+        assert hausdorff_distance(b2, b1) == pair_scan_hausdorff(b1, b2)
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(p=star_points(), scale=st.sampled_from([1.0, 1e-160]))
@@ -266,7 +286,10 @@ class TestHausdorffEqualsPairScan:
     # survives (identical, near-identical, and concentric circles, whose
     # bounds all tie up to rounding), a few do (two distinct maps), most do
     # (jagged stars); then polar angles about the base point of one boundary
-    # only, and boundaries far from the origin.
+    # only, and boundaries far from the origin; last, a boundary against
+    # itself moved by several domain sizes, whose survivors' bound disks hold
+    # the base point (the KD-tree fallback), and moved by half a size, where
+    # no point survives.
     @pytest.mark.parametrize("pair", [
         lambda: (boundary_of(QUADRATIC_CUBIC, 4096),) * 2,
         lambda: (boundary_of(QUADRATIC_CUBIC, 4096),
@@ -281,9 +304,11 @@ class TestHausdorffEqualsPairScan:
                  boundary_of(moved(fourier_disk({2: 0.05, 3: 0.03}), 1000.0), 1024)),
         lambda: (boundary_of(moved(perturbed_disk(0.1), 1e6), 1024),
                  boundary_of(moved(fourier_disk({2: 0.05, 3: 0.03}), 1e6), 1024)),
+        lambda: translated_pair(3.0),
+        lambda: translated_pair(0.5),
     ], ids=["identical-4096", "near-identical-4096", "concentric-half-step-4096",
             "distinct-maps-4096", "jagged-stars-4096", "base-points-differ",
-            "zeta_o-1e3", "zeta_o-1e6"])
+            "zeta_o-1e3", "zeta_o-1e6", "translated-3-4096", "translated-0.5-4096"])
     def test_prune_outcomes(self, pair):
         b1, b2 = pair()
         assert (hausdorff_distance(b1, b2) == hausdorff_distance(b2, b1)
@@ -301,6 +326,37 @@ class TestHausdorffEqualsPairScan:
         b_rebuilt = boundary_of(rebuilt, 2048)
         assert hausdorff_distance(b, b_rebuilt) == pair_scan_hausdorff(b, b_rebuilt)
         assert queried == []
+
+    @pytest.fixture
+    def kd_calls(self, monkeypatch):
+        """The sizes of the point sets the KD-tree kernel runs on."""
+        calls = []
+        kernel = geometry._directed_sup_inf
+        monkeypatch.setattr(geometry, "_directed_sup_inf",
+                            lambda a, b: calls.append(a.size) or kernel(a, b))
+        return calls
+
+    @pytest.mark.parametrize("pair, runs", [
+        (lambda: translated_pair(3.0), True),
+        (lambda: (boundary_of(QUADRATIC_CUBIC, 4096),
+                  boundary_of(fourier_disk({2: 0.1, 5: 0.02}), 4096)), False),
+    ], ids=["translated-3-4096", "distinct-maps-4096"])
+    def test_kd_tree_runs_only_where_a_bound_disk_holds_the_base_point(
+            self, kd_calls, pair, runs):
+        b1, b2 = pair()
+        expected = pair_scan_hausdorff(b1, b2)
+        assert hausdorff_distance(b1, b2) == hausdorff_distance(b2, b1) == expected
+        assert (kd_calls != []) == runs
+
+    @pytest.mark.parametrize("budget", [0, 32, 10 ** 9])
+    def test_window_budget_picks_the_route_not_the_value(self, monkeypatch, kd_calls, budget):
+        # jagged stars leave survivors whose windows hold about 14-26 points
+        # of b per point of b in all: over a budget of 0, within 32
+        monkeypatch.setattr(geometry, "_WINDOW_BUDGET", budget)
+        b1, b2 = jagged_star(1, 4096), jagged_star(2, 4096)
+        expected = pair_scan_hausdorff(b1, b2)
+        assert hausdorff_distance(b1, b2) == hausdorff_distance(b2, b1) == expected
+        assert (kd_calls != []) == (budget == 0)
 
 
 class TestDomainBoundary:

@@ -41,6 +41,17 @@ def c_alpha_series_oracle(alpha, split=0.5):
     return 2.0 ** alpha / (4 * np.pi ** 2) * (head + tail)
 
 
+def c_alpha_mpmath(alpha):
+    """30-digit reference.  Substituting t = u^(1/a) turns t^a cot(t/2) dt
+    into u cot(u^(1/a)/2) u^(1/a - 1) du / a, which tends to 2/a at u = 0,
+    so the quadrature sees no endpoint singularity."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        integral = mpmath.quad(lambda u: u * mpmath.cot(u ** (1 / a) / 2) * u ** (1 / a - 1) / a,
+                               [0, mpmath.pi ** a])
+        return 2 ** a / (4 * mpmath.pi ** 2) * integral
+
+
 class TestCAlpha:
     def test_closed_form_at_one(self):
         assert abs(c_alpha(1.0) - math.log(2) / math.pi) <= 1e-10
@@ -66,6 +77,37 @@ class TestCAlpha:
         for alpha in (0.0, -1.0, 1.5):
             with pytest.raises(InvalidInputError):
                 c_alpha(alpha)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.5, 0.75, 1.0])
+    def test_mpmath_reference_within_four_ulps(self, alpha):
+        value = c_alpha(alpha)
+        assert abs(mpmath.mpf(value) - c_alpha_mpmath(alpha)) <= 4 * math.ulp(value)
+
+    def test_value_at_one_half_unchanged(self):
+        # the value the adaptive quadrature gave, on which the criterion-8
+        # sweep (alpha = 0.5) is byte-identical
+        assert c_alpha(0.5) == 0.20761131858385207
+
+    def test_closed_form_at_one_to_the_bit(self):
+        assert c_alpha(1.0) == math.log(2) / math.pi
+
+    @pytest.mark.parametrize("epsabs", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tolerance_refused_before_any_work(self, monkeypatch, epsabs):
+        def series(alpha, tol):
+            raise AssertionError("the series ran")
+
+        monkeypatch.setattr(stability, "_c_alpha_series", series)
+        with pytest.raises(InvalidInputError, match="epsabs"):
+            c_alpha(0.5, epsabs=epsabs)
+
+    def test_tolerance_bounds_the_truncation(self):
+        # the tail after the last term taken is below epsabs in the integral,
+        # that is 2^a / (4 pi^2) * epsabs in c_a
+        for alpha in (0.05, 0.5, 1.0):
+            exact = c_alpha_mpmath(alpha)
+            for epsabs in (1e-3, 1e-8, 1e-11):
+                gap = abs(mpmath.mpf(c_alpha(alpha, epsabs=epsabs)) - exact)
+                assert gap <= 2 ** alpha / (4 * math.pi ** 2) * epsabs + 4 * math.ulp(exact)
 
 
 class TestConstantsBundle:
