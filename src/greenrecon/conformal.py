@@ -108,15 +108,15 @@ class ConformalMap:
         """Univalence proxy: nonvanishing f' on a dense boundary grid and the
         two tests of :func:`_univalence_faults`. Returns human-readable warnings."""
         warnings = []
-        m = max(n, 2 * self.degree)
-        speed = np.abs(_on_nodes(self.fprime_coefficients(), m))
+        nodes = node_table(self, max(n, 2 * self.degree))
+        speed = np.abs(nodes[1])
         if np.min(speed) < 1e-6 * np.max(speed):
             warnings.append(f"|f'| as small as {np.min(speed):.3g} on the boundary grid")
-        return warnings + _univalence_faults(self, m)
+        return warnings + _univalence_faults(nodes)
 
 
-def _univalence_faults(f: ConformalMap, n: int) -> list[str]:
-    """The univalence tests f fails at the n-th roots of unity (none: passes).
+def _univalence_faults(nodes: np.ndarray) -> list[str]:
+    """The univalence tests failed at a map's node rows f and f' (none: passes).
 
     f' must not wind on the circle: it then has no zero in the disk (argument
     principle).  The boundary polyline must be simple: it is the discrete
@@ -124,12 +124,11 @@ def _univalence_faults(f: ConformalMap, n: int) -> list[str]:
     (Darboux's theorem; Duren, *Univalent Functions*, 1983).
     """
     faults = []
-    fp = _on_nodes(f.fprime_coefficients(), n)
-    if np.min(np.abs(fp)) > 0:
-        winding = _total_turning(fp, 0) / TWO_PI
+    if np.min(np.abs(nodes[1])) > 0:
+        winding = _total_turning(nodes[1], 0) / TWO_PI
         if abs(winding) > 1e-6:
             faults.append(f"argument of f' winds {winding:.3g} times (expected 0)")
-    if not _polyline_is_simple(_on_nodes(f.coefficients, n)):
+    if not _polyline_is_simple(nodes[0]):
         faults.append("boundary polyline self-intersects on the test grid")
     return faults
 
@@ -200,15 +199,23 @@ def boundary_grid(n: int) -> np.ndarray:
     return uniform_grid(n, TWO_PI)
 
 
-def _on_nodes(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """sum_k coeffs[k] z^k at the n-th roots of unity z = exp(1j*boundary_grid(n)).
+def _on_nodes(rows: np.ndarray, n: int) -> np.ndarray:
+    """sum_k rows[..., k] z^k at the n-th roots of unity z = exp(1j*boundary_grid(n)).
 
-    Exact polynomial evaluation (for n > degree) realized by zero-padded
-    Fourier synthesis; every boundary-node value of a map comes from here.
+    Exact polynomial evaluation (for n > degree) realized by one zero-padded
+    inverse FFT per stack of rows, each row to the bits of its own transform.
     """
-    padded = np.zeros(n, dtype=complex)
-    padded[: coeffs.size] = coeffs
+    padded = np.zeros(rows.shape[:-1] + (n,), dtype=complex)
+    padded[..., : rows.shape[-1]] = rows
     return np.fft.ifft(padded) * n
+
+
+def node_table(f: ConformalMap, n: int) -> np.ndarray:
+    """Rows f, f' = sum k a_k z^(k-1) and z f'' = sum k(k-1) a_k z^(k-1) at the
+    n-th roots of unity, in order of increasing angle, from one inverse FFT."""
+    _check_grid(f, n)
+    d = np.append(f.fprime_coefficients(), 0)
+    return _on_nodes(np.stack([f.coefficients, d, np.arange(d.size) * d]), n)
 
 
 def eval_boundary(f: ConformalMap, n: int) -> np.ndarray:
@@ -222,18 +229,22 @@ def eval_fprime(f: ConformalMap, n: int) -> np.ndarray:
     maps whose |f'| (nearly) vanishes at a node, relative to its largest."""
     _check_grid(f, n)
     values = _on_nodes(f.fprime_coefficients(), n)
-    speed = np.abs(values)
-    if not np.min(speed) > DEGENERACY_TOL * np.max(speed):
-        raise DegenerateMapError(
-            f"|f'| = {np.min(speed):.3g} at a boundary node; map is degenerate")
+    _speed(values)
     return values
 
 
-def c1_gap(f1: ConformalMap, f2: ConformalMap, n: int) -> float:
-    """sup|f1 - f2| + sup|f1' - f2'| over the n-th roots of unity."""
-    df = eval_boundary(f1, n) - eval_boundary(f2, n)
-    dfp = _on_nodes(f1.fprime_coefficients(), n) - _on_nodes(f2.fprime_coefficients(), n)
-    return float(np.max(np.abs(df)) + np.max(np.abs(dfp)))
+def _speed(fprime: np.ndarray) -> np.ndarray:
+    """|f'| at the nodes, refused when it (nearly) vanishes at one."""
+    speed = np.abs(fprime)
+    if not np.min(speed) > DEGENERACY_TOL * np.max(speed):
+        raise DegenerateMapError(
+            f"|f'| = {np.min(speed):.3g} at a boundary node; map is degenerate")
+    return speed
+
+
+def c1_gap(nodes1: np.ndarray, nodes2: np.ndarray) -> float:
+    """sup|f1 - f2| + sup|f1' - f2'| from two maps' node tables at one n."""
+    return float(np.max(np.abs(nodes1[0] - nodes2[0])) + np.max(np.abs(nodes1[1] - nodes2[1])))
 
 
 def arclength(f: ConformalMap, n: int) -> tuple[np.ndarray, float]:
@@ -241,25 +252,30 @@ def arclength(f: ConformalMap, n: int) -> tuple[np.ndarray, float]:
 
     Spectral antidifferentiation of |f'| over theta; L = 2*pi times the mean.
     """
-    cumulative = _arclength_map(f, n)
+    _check_grid(f, n)
+    cumulative = _arclength_map(_on_nodes(f.canonical().fprime_coefficients(), n))
     return cumulative.node_values(), cumulative.total
 
 
-def _arclength_map(f: ConformalMap, n: int):
-    # the speed |f'| is rotation-invariant; evaluating it in the canonical
-    # frame makes the float path independent of the input's orientation
-    return TrigInterpolant(np.abs(eval_fprime(f.canonical(), n)), TWO_PI).antiderivative()
+def _arclength_map(fprime: np.ndarray):
+    """s(theta) = integral of |f'| from f' at the nodes.  |f'| is rotation-invariant;
+    callers take f' in the canonical frame, so the floats ignore orientation."""
+    return TrigInterpolant(_speed(fprime), TWO_PI).antiderivative()
+
+
+def _circle_values(fprime: np.ndarray, zf2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi = 1/(2 pi |f'|) and d psi/d theta = psi Im(z f''/f') from f' and z f''."""
+    psi = 1.0 / (TWO_PI * np.abs(fprime))
+    return psi, psi * (zf2 / fprime).imag
 
 
 def _circle_data(f: ConformalMap, theta) -> tuple[np.ndarray, np.ndarray]:
-    """psi = 1/(2 pi |f'|) and d psi/d theta = psi Im(z f''/f') at z = e^{i theta},
-    in the canonical frame, as two power sums over the coefficients d of f' cut
-    at the rounding plateau: f' = sum d_j z^j and z f'' = sum j d_j z^j."""
+    """The circle data (:func:`_circle_values`) at z = e^{i theta}, in the
+    canonical frame, as two power sums over the coefficients d of f' cut at
+    the rounding plateau: f' = sum d_j z^j and z f'' = sum j d_j z^j."""
     d = _chopped(f.canonical().fprime_coefficients())
     z = np.exp(1j * theta)
-    fprime = _power_sum(d, z)
-    psi = 1.0 / (TWO_PI * np.abs(fprime))
-    return psi, psi * (_power_sum(np.arange(d.size) * d, z) / fprime).imag
+    return _circle_values(_power_sum(d, z), _power_sum(np.arange(d.size) * d, z))
 
 
 def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFunction:
@@ -272,7 +288,8 @@ def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFun
     ``COMPATIBILITY_TOL`` is under-resolved at this n and raises
     :class:`CompatibilityError`.
     """
-    cumulative = _arclength_map(f, n)
+    _check_grid(f, n)
+    cumulative = _arclength_map(_on_nodes(f.canonical().fprime_coefficients(), n))
     L = cumulative.total
     theta = invert_increasing(cumulative, uniform_grid(n, L))
     psi, psi_prime = _circle_data(f, theta)

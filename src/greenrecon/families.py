@@ -76,5 +76,7 @@ def parse_family(selector: str):
     match = _FAMILY_RE.match(text)
     if match:
         k = int(match.group(1))
+        if k < 2:
+            raise InvalidInputError(f"family {selector!r}: perturbation power must be at least 2")
         return lambda eps: perturbed_disk(eps, k)
     raise InvalidInputError(f"unknown family {selector!r}; try 'disk' or 'z+eps*z^k'")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryFunction, build_cumulative
-from .conformal import ConformalMap, _on_nodes, boundary_grid, c1_gap
+from .conformal import ConformalMap, _on_nodes, boundary_grid, c1_gap, node_table
 from .errors import InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -131,4 +131,4 @@ def roundtrip_error(f: ConformalMap, n: int, alignment: str = "proof") -> float:
     phi = forward_operator(f, n)
     result = reconstruct_fprime(phi, f.zeta_o, f.zeta_b, n)
     _, matched = align_rotation(f, result.map, mode=alignment, n=n)
-    return c1_gap(f, matched, n)
+    return c1_gap(node_table(f, n), node_table(matched, n))

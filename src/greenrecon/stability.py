@@ -36,13 +36,12 @@ import numpy as np
 from . import norms
 from ._spectral import trig_sup_abs
 from .boundary import BoundaryFunction, rescale_to_common_interval
-from .conformal import (ConformalMap, _check_grid, _circle_data, _univalence_faults,
-                        boundary_grid, c1_gap, forward_operator)
+from .conformal import (ConformalMap, _circle_values, _univalence_faults, c1_gap,
+                        forward_operator, node_table)
 from .errors import InvalidInputError, NotUnivalentError
 from .families import disk_for_constant
 from .files import format_number
-from .geometry import (DomainBoundary, align_rotation, boundary_of,
-                       hausdorff_distance, inradius_circumradius,
+from .geometry import (DomainBoundary, align_rotation, hausdorff_distance, inradius_circumradius,
                        largest_inscribed_circle, smallest_enclosing_circle)
 
 TWO_PI = 2.0 * np.pi
@@ -329,16 +328,18 @@ class DomainSample:
     map, and a map that fails a univalence test at this n (so that its image
     is not known to be a domain), are rejected here, and so is a datum that
     does not integrate to 1 (`CompatibilityError`).  Every field is computed
-    here, when the sample is made: the boundary datum at alpha, the circle
-    data (psi, psi') at the theta grid, the boundary polyline with its
-    arclength tags, and the parts of the datum's measured Holder norms at
-    alpha.  Checks that share a sample share all of them; :meth:`scaled`
-    maps them to a dilation of the domain.
+    here, when the sample is made.  The map is evaluated once, into its node
+    table (f, f', z f'' at the theta grid), which the univalence test, the
+    circle data (psi, psi'), the polyline and the checks' map gaps read; the
+    boundary datum at alpha, and the parts of its measured Holder norms, come
+    from the forward operator.  Checks that share a sample share all of them;
+    :meth:`scaled` maps them to a dilation of the domain.
     """
 
     f: ConformalMap
     n: int
     alpha: float = 0.5
+    nodes: np.ndarray = field(init=False, repr=False)  # rows f, f', z f'' at the nodes
     datum: BoundaryFunction = field(init=False, repr=False)
     circle: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     polyline: DomainBoundary = field(init=False, repr=False)
@@ -348,15 +349,15 @@ class DomainSample:
 
     def __post_init__(self):
         f, n, alpha = self.f.canonical(), self.n, self.alpha
-        _check_grid(f, n)
-        faults = _univalence_faults(f, n)
+        nodes = node_table(f, n)
+        faults = _univalence_faults(nodes)
         if faults:
             raise NotUnivalentError(f"map is not univalent at n = {n}: {'; '.join(faults)}")
         datum = forward_operator(f, n, alpha)
         dv = datum.derivative()
         # the datum pulled back to the theta grid, read off the map without an inversion
-        circle = _circle_data(f, boundary_grid(n))
-        self._fill(f=f, datum=datum, circle=circle, polyline=boundary_of(f, n),
+        self._fill(f=f, nodes=nodes, datum=datum, circle=_circle_values(nodes[1], nodes[2]),
+                   polyline=DomainBoundary.from_nodes(nodes, f.zeta_o),
                    sups=(float(np.max(np.abs(datum.values))), float(np.max(np.abs(dv)))),
                    seminorm=_interval_seminorm(datum.values, datum.L, alpha),
                    seminorm1=_interval_seminorm(dv, datum.L, alpha))
@@ -382,22 +383,25 @@ class DomainSample:
         A dilation keeps univalence, the grid's resolution and the datum's
         unit integral.  It takes the datum to phi/c on [0, cL] with phi'/c^2,
         psi and psi' to psi/c and psi'/c, the polyline to zeta_o + c(p - zeta_o)
-        with arclengths c s, and [phi]_a, [phi']_a to c^(-1-a) and c^(-2-a)
-        times themselves.  For a power-of-two c and zeta_o = 0 the tests find
-        the datum, the circle data and the polyline bit-identical to those of
-        ``DomainSample(f.scaled(c))``, and the norms within a few ulps.
+        with arclengths c s, the node rows to zeta_o + c(f - zeta_o), c f', c z f'',
+        and [phi]_a, [phi']_a to c^(-1-a) and c^(-2-a) times themselves.  For a
+        power-of-two c and zeta_o = 0 the tests find the nodes, the datum, the circle
+        data and the polyline bit-identical to those of ``DomainSample(f.scaled(c))``,
+        and the norms within a few ulps.
         """
         if not (math.isfinite(c) and c > 0):
             raise InvalidInputError(f"scale factor must be positive and finite, got {c}")
         phi, (psi, psi_prime), b = self.datum, self.circle, self.polyline
+        f, fprime, zf2 = self.nodes
+        points = b.zeta_o + c * (f - b.zeta_o)
         scaled = object.__new__(type(self))
         scaled._fill(
             f=self.f.scaled(c), n=self.n, alpha=self.alpha,
+            nodes=np.stack([points, c * fprime, c * zf2]),
             datum=BoundaryFunction(phi.values / c, c * phi.L, alpha=self.alpha,
                                    derivative_values=phi.derivative() / c / c),
             circle=(psi / c, psi_prime / c),
-            polyline=DomainBoundary(b.zeta_o + c * (b.points - b.zeta_o), b.zeta_o,
-                                    c * b.arclengths),
+            polyline=DomainBoundary(points, b.zeta_o, c * b.arclengths),
             sups=(self.sups[0] / c, self.sups[1] / c / c),
             seminorm=self.seminorm / c / c ** self.alpha,
             seminorm1=self.seminorm1 / c / c / c ** self.alpha)
@@ -441,6 +445,13 @@ def _class_constants(samples, notes: list[str], m, M0, M1=None, with_M1: bool = 
     return m, M0, _merge_constant(M1, M1_meas, "upper", notes, "M1")
 
 
+def _aligned_nodes(d1: DomainSample, d2: DomainSample, alignment: str):
+    """The angle that rotates d2's map to match d1's, and the rotated map's
+    node table: d2's own at a zero angle, which leaves the coefficients as they are."""
+    gamma, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=d1.n)
+    return gamma, d2.nodes if gamma == 0.0 else node_table(f2r, d1.n)
+
+
 # ---------------------------------------------------------------------------
 # the checks
 # ---------------------------------------------------------------------------
@@ -466,7 +477,7 @@ def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, *,
     dpsi = psi1 - psi2
     sup_dpsi = trig_sup_abs(dpsi)
     seminorm_dpsi = _interval_seminorm(dpsi, TWO_PI, alpha)
-    _, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
+    _, nodes2 = _aligned_nodes(d1, d2, alignment)
     common = dict(theorem="stab_gen", n=n, alignment=alignment, m=bundle.m,
                   M0=bundle.M0, M1=None, L1=bundle.L1, L2=bundle.L2, alpha=alpha,
                   notes="; ".join(notes))
@@ -479,7 +490,7 @@ def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, *,
         lhs=_interval_seminorm(np.log(psi1) - np.log(psi2), TWO_PI, alpha),
         rhs_norm=bundle.C1 * sup_dpsi + bundle.C2 * seminorm_dpsi, K=1.0, **common))
     rows.append(StabilityReport(
-        row="map_gap", lhs=c1_gap(d1.f, f2r, n), rhs_norm=sup_dpsi + seminorm_dpsi,
+        row="map_gap", lhs=c1_gap(d1.nodes, nodes2), rhs_norm=sup_dpsi + seminorm_dpsi,
         K=bundle.K_stab, **common))
     return rows
 
@@ -515,7 +526,7 @@ def check_theorem_disco(d: DomainSample, C: float | None = None, *,
         C = 1.0 / d.datum.L
     _, f_C = align_rotation(d.f, disk_for_constant(C, zeta_o=d.f.zeta_o),
                             mode=alignment, n=d.n)
-    return [_constant_gap_row("disco", "map_gap_vs_disk", c1_gap(d.f, f_C, d.n),
+    return [_constant_gap_row("disco", "map_gap_vs_disk", c1_gap(d.nodes, node_table(f_C, d.n)),
                               d, C, alignment, m, M0)]
 
 
@@ -547,12 +558,11 @@ def _chain(d1: DomainSample, d2: DomainSample, alignment: str, bundle: Constants
     dpsi = psi1 - psi2
     sup_dpsi_prime = trig_sup_abs(psi1_prime - psi2_prime)
     s1, s2 = d1.polyline.arclengths, d2.polyline.arclengths
-    gamma, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
-    # a zero angle leaves the partner's coefficients, and so its polyline, as they are
-    polyline2 = d2.polyline if gamma == 0.0 else boundary_of(f2r, n)
+    gamma, nodes2 = _aligned_nodes(d1, d2, alignment)
+    polyline2 = d2.polyline if gamma == 0.0 else DomainBoundary.from_nodes(nodes2, d2.f.zeta_o)
     lhs = [float(np.max(np.abs(arc_scales[0] * s1 - arc_scales[1] * s2))),
            trig_sup_abs(dpsi), _interval_seminorm(dpsi, TWO_PI, alpha),
-           TWO_PI * sup_dpsi_prime, c1_gap(d1.f, f2r, n),
+           TWO_PI * sup_dpsi_prime, c1_gap(d1.nodes, nodes2),
            hausdorff_distance(d1.polyline, polyline2)]
     rows = list(rows)
     rows.insert(2, (rows[0][0], "seminorm_from_derivative", sup_dpsi_prime,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from greenrecon import cli, stability
+from greenrecon import cli, conformal, stability
 from greenrecon.cli import main
 from greenrecon.conformal import ConformalMap
 from greenrecon.families import disk, perturbed_disk
@@ -392,6 +392,18 @@ class TestSweep:
                      "--theorem", "raggi", "--n", "512", "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.startswith("error: eps = 0.44: boundary datum of n = 512")
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_power_below_two_refused_with_the_selector(self, tmp_path, capsys, monkeypatch, k):
+        # the family is refused when its selector is parsed, before any sample is made
+        monkeypatch.setattr(stability, "DomainSample", None)
+        family = f"z+eps*z^{k}"
+        assert main(["sweep", "--family", family, "--eps", "0.1:0.2:0.1",
+                     "--theorem", "raggi", "--n", "64", "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"family {family!r}: perturbation power must be at least 2" in err
+        assert "eps =" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("eps", ["nan:0.2:0.1", "0.1:0.2:nan", "0.1:inf:0.1",
                                      "0.1:0.2:inf", "-1e308:1e308:1", "0:1:1e-12",
                                      # rounded to 12 decimals, 1e-13 would run as the
@@ -455,16 +467,24 @@ def _count_forward_calls(monkeypatch, argv):
 class TestSweepComputesEachDatumOnce:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_one_forward_operator_call_per_domain(self, tmp_path, monkeypatch, jobs):
-        calls, univalence = _count_calls(monkeypatch, [
+        on_nodes, evaluations = conformal._on_nodes, []
+        monkeypatch.setattr(conformal, "_on_nodes",
+                            lambda rows, n: evaluations.append(rows.ndim) or on_nodes(rows, n))
+        calls, rows = _count_calls(monkeypatch, [
             "sweep", "--family", "z+eps*z^2", "--eps", "0.05:0.15:0.1",
             "--theorem", "all", "--alpha", "0.5", "--n", "128",
             "--jobs", jobs, "--out", str(tmp_path / "s")],
-            "forward_operator", "_univalence_faults")
+            "forward_operator", "node_table")
         # f per eps, and the unit disk; lugua's equal-perimeter rescaling of f
-        # is mapped from f's sample, with no datum and no univalence test of its own
+        # is mapped from f's sample, with no datum and no node table of its own
         assert len(calls) == 2 + 1
         assert set(calls.values()) == {1}
-        assert sum(univalence.values()) == 2 + 1
+        assert sum(rows[key] for key in calls) == 2 + 1
+        # the only other node tables are disco's comparison disks, one per eps
+        assert sum(rows.values()) - sum(rows[key] for key in calls) == 2
+        # node evaluations: the f' row inside each forward operator, and the
+        # three-row table of each sample and each disco disk
+        assert sorted(evaluations) == [1] * 3 + [2] * (3 + 2)
 
     @pytest.mark.parametrize("theorem", ["raggi", "disco"])
     def test_single_domain_theorem_builds_no_partner(self, tmp_path, monkeypatch, theorem):

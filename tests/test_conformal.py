@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from greenrecon._spectral import _blocking, _power_sum, derivative_samples
 from greenrecon.conformal import (ConformalMap, _on_nodes, _polyline_is_simple,
                                   _total_turning, arclength, boundary_grid, c1_gap,
-                                  eval_boundary, eval_fprime, forward_operator)
+                                  eval_boundary, eval_fprime, forward_operator, node_table)
 from greenrecon.errors import (AliasingError, CompatibilityError, DataFormatError,
                                DegenerateMapError, InvalidInputError)
 from greenrecon.families import (disk, disk_for_constant, equal_perimeter_pair,
@@ -264,11 +264,42 @@ class TestNodeEvaluator:
                 <= 1e-13 * np.sum(np.abs(c))
         l1 = sum(np.sum(np.abs(c)) for f in (f1, f2)
                  for c in (f.coefficients, f.fprime_coefficients()))
-        assert abs(c1_gap(f1, f2, n) - horner_c1_gap(f1, f2, n)) <= 1e-13 * l1
+        gap = c1_gap(node_table(f1, n), node_table(f2, n))
+        assert abs(gap - horner_c1_gap(f1, f2, n)) <= 1e-13 * l1
 
     def test_gap_refuses_a_coarse_grid(self):
         with pytest.raises(AliasingError):
-            c1_gap(perturbed_disk(0.1, k=4), disk(), 6)
+            node_table(perturbed_disk(0.1, k=4), 6)
+
+    @pytest.mark.parametrize("n", [2 ** k for k in range(6, 15)])
+    def test_each_row_equals_its_own_transform(self, n):
+        # the three rows of one inverse FFT, each against the transform of that row alone
+        rng = np.random.default_rng(n)
+        for size in (2, 3, n // 8, n // 2 + 1):
+            f = ConformalMap(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            d = f.fprime_coefficients()
+            for row, coeffs in zip(node_table(f, n), (f.coefficients, d, np.arange(d.size) * d)):
+                assert np.array_equal(row, _on_nodes(coeffs, n)), (n, size)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.45])
+    def test_second_derivative_row_of_a_quadratic(self, eps):
+        # z f'' = 2 eps z on z + eps z^2; the FFT's twiddles and np.exp differ by a few ulps
+        for n in (64, 1024, 16384):
+            z = np.exp(1j * boundary_grid(n))
+            assert np.max(np.abs(node_table(perturbed_disk(eps), n)[2] - 2 * eps * z)) \
+                <= 2e-15 * 2 * eps
+
+    def test_second_derivative_row_matches_mpmath(self):
+        f, n = fourier_disk(FOURIER_MAP), 256
+        a = [mpmath.mpc(complex(c)) for c in f.coefficients]
+        with mpmath.workdps(40):
+            ref = []
+            for j in range(n):
+                z = mpmath.expj(2 * mpmath.pi * j / n)
+                ref.append(complex(sum(k * (k - 1) * a[k] * z ** (k - 1)
+                                       for k in range(2, len(a)))))
+        ref = np.array(ref)
+        assert np.max(np.abs(node_table(f, n)[2] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestArclength:
@@ -464,6 +495,28 @@ class TestCircleData:
         dphi = phi.derivative()
         got = forward_operator(rebuilt, n).derivative()
         assert np.max(np.abs(got - dphi)) <= 1e-13 * np.max(np.abs(dphi))
+
+    def test_node_table_and_power_sums_agree(self):
+        # the sample's psi and psi' come from its node table; forward_operator
+        # reads the same circle data by power sums at its inverted angles.  At
+        # the nodes the two routes differ by up to 9.0e-16 relative for psi and
+        # 4.9e-15 of max|psi'| on these maps, and by up to 1.5e-15 and 8.2e-15 on
+        # the 64 seed-1 roundtrip maps (n = 2048) and 64 shape_compare maps
+        # (n = 4096); the bounds are about three and five times the latter
+        from perfbench.workloads import make_inputs
+
+        from greenrecon import conformal
+        from greenrecon.stability import DomainSample
+
+        maps = [perturbed_disk(eps) for eps in (0.01, 0.1, 0.35)]
+        maps += [fourier_disk(FOURIER_MAP)] + make_inputs("roundtrip", 1, count=8)
+        for f in maps:
+            for n in (512, 2048):
+                d = DomainSample(f, n)
+                psi, psi_prime = d.circle
+                ref, ref_prime = conformal._circle_data(d.f, boundary_grid(n))
+                assert np.max(np.abs(psi - ref) / ref) <= 4e-15
+                assert np.max(np.abs(psi_prime - ref_prime)) <= 4e-14 * np.max(np.abs(ref_prime))
 
     def test_power_sums_stop_at_the_plateau(self, monkeypatch):
         from greenrecon import conformal

@@ -341,7 +341,7 @@ def assert_matches_oracle(cum, targets):
 def both_inversions(f, n):
     """The arclength inversion of `forward_operator` and the inverse
     cumulative map of the datum, each with its targets."""
-    arclength = conformal._arclength_map(f, n)
+    arclength = conformal._arclength_map(conformal.eval_fprime(f.canonical(), n))
     cm = build_cumulative(conformal.forward_operator(f, n))
     return [(arclength, _spectral.uniform_grid(n, arclength.total)),
             (cm._cum, conformal.boundary_grid(n) / (2 * np.pi))]

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from greenrecon import boundary, norms, stability
 from greenrecon._spectral import invert_increasing
-from greenrecon.conformal import _univalence_faults, forward_operator
+from greenrecon.conformal import _univalence_faults, forward_operator, node_table
 from greenrecon.errors import (AliasingError, CompatibilityError, InvalidInputError,
                                NotUnivalentError)
 from greenrecon.families import (disk, disk_for_constant, equal_perimeter_pair, fourier_disk,
@@ -212,7 +212,7 @@ class TestDomainSample:
         # z + eps z^2 is univalent for eps < 1/2, and passes the univalence
         # tests; its datum at this n integrates to 1.0037, so the sample
         # itself is refused when it is made
-        assert _univalence_faults(perturbed_disk(0.49), 4096) == []
+        assert _univalence_faults(node_table(perturbed_disk(0.49), 4096)) == []
         with pytest.raises(CompatibilityError, match="n = 4096"):
             DomainSample(perturbed_disk(0.49), 4096)
 
@@ -336,8 +336,8 @@ SCALED_MAPS = {"perturbed": perturbed_disk(0.1),
 
 def _sample_fields(d):
     """Every array and number of a sample, by name."""
-    return dict(values=d.datum.values, derivative=d.datum.derivative_values, L=d.datum.L,
-                psi=d.circle[0], psi_prime=d.circle[1], points=d.polyline.points,
+    return dict(nodes=d.nodes, values=d.datum.values, derivative=d.datum.derivative_values,
+                L=d.datum.L, psi=d.circle[0], psi_prime=d.circle[1], points=d.polyline.points,
                 arclengths=d.polyline.arclengths, seminorm=d.seminorm, norm0=d.norm0,
                 norm1=d.norm1)
 
@@ -377,7 +377,7 @@ class TestScaledSample:
 
     def test_runs_no_forward_operator_or_univalence_test(self, sample, monkeypatch):
         calls = []
-        for name in ("forward_operator", "_univalence_faults", "boundary_of"):
+        for name in ("forward_operator", "node_table", "_univalence_faults"):
             monkeypatch.setattr(stability, name, lambda *a, name=name: calls.append(name))
         monkeypatch.setattr(norms, "holder_seminorm", lambda *a: calls.append("seminorm"))
         sample.scaled(3.0)
