@@ -211,8 +211,7 @@ def _on_nodes(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def node_table(f: ConformalMap, n: int) -> np.ndarray:
-    """Rows f, f' = sum k a_k z^(k-1) and z f'' = sum k(k-1) a_k z^(k-1) at the
-    n-th roots of unity, in order of increasing angle, from one inverse FFT."""
+    """Rows f, f' and z f'' = sum k(k-1) a_k z^(k-1) at the n-th roots of unity, one FFT."""
     _check_grid(f, n)
     d = np.append(f.fprime_coefficients(), 0)
     return _on_nodes(np.stack([f.coefficients, d, np.arange(d.size) * d]), n)
@@ -229,17 +228,11 @@ def eval_fprime(f: ConformalMap, n: int) -> np.ndarray:
     maps whose |f'| (nearly) vanishes at a node, relative to its largest."""
     _check_grid(f, n)
     values = _on_nodes(f.fprime_coefficients(), n)
-    _speed(values)
-    return values
-
-
-def _speed(fprime: np.ndarray) -> np.ndarray:
-    """|f'| at the nodes, refused when it (nearly) vanishes at one."""
-    speed = np.abs(fprime)
+    speed = np.abs(values)
     if not np.min(speed) > DEGENERACY_TOL * np.max(speed):
         raise DegenerateMapError(
             f"|f'| = {np.min(speed):.3g} at a boundary node; map is degenerate")
-    return speed
+    return values
 
 
 def c1_gap(nodes1: np.ndarray, nodes2: np.ndarray) -> float:
@@ -252,15 +245,14 @@ def arclength(f: ConformalMap, n: int) -> tuple[np.ndarray, float]:
 
     Spectral antidifferentiation of |f'| over theta; L = 2*pi times the mean.
     """
-    _check_grid(f, n)
-    cumulative = _arclength_map(_on_nodes(f.canonical().fprime_coefficients(), n))
+    cumulative = _arclength_map(eval_fprime(f.canonical(), n))
     return cumulative.node_values(), cumulative.total
 
 
 def _arclength_map(fprime: np.ndarray):
     """s(theta) = integral of |f'| from f' at the nodes.  |f'| is rotation-invariant;
     callers take f' in the canonical frame, so the floats ignore orientation."""
-    return TrigInterpolant(_speed(fprime), TWO_PI).antiderivative()
+    return TrigInterpolant(np.abs(fprime), TWO_PI).antiderivative()
 
 
 def _circle_values(fprime: np.ndarray, zf2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,8 +280,7 @@ def forward_operator(f: ConformalMap, n: int, alpha: float = 0.5) -> BoundaryFun
     ``COMPATIBILITY_TOL`` is under-resolved at this n and raises
     :class:`CompatibilityError`.
     """
-    _check_grid(f, n)
-    cumulative = _arclength_map(_on_nodes(f.canonical().fprime_coefficients(), n))
+    cumulative = _arclength_map(eval_fprime(f.canonical(), n))
     L = cumulative.total
     theta = invert_increasing(cumulative, uniform_grid(n, L))
     psi, psi_prime = _circle_data(f, theta)

@@ -11,8 +11,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .conformal import (ConformalMap, _arclength_map, _check_grid, _on_nodes, _total_turning,
-                        eval_boundary)
+from .conformal import ConformalMap, _total_turning, arclength, eval_boundary
 from .errors import ConvergenceError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -100,18 +99,11 @@ class DomainBoundary:
     def max_edge(self) -> float:
         return float(np.max(self.edge_lengths()))
 
-    @classmethod
-    def from_nodes(cls, nodes: np.ndarray, zeta_o: complex) -> "DomainBoundary":
-        """Points from node row f, arclength tags from node row f'."""
-        return cls(nodes[0], zeta_o, _arclength_map(nodes[1]).node_values())
-
 
 def boundary_of(f: ConformalMap, n: int) -> DomainBoundary:
-    """Sample a map's boundary into a polyline with arclength tags, from one
-    two-row evaluation of f and of f' in the canonical frame."""
-    _check_grid(f, n)
-    rows = np.stack([f.coefficients, np.append(f.canonical().fprime_coefficients(), 0)])
-    return DomainBoundary.from_nodes(_on_nodes(rows, n), f.zeta_o)
+    """Sample a map's boundary into a polyline with arclength tags."""
+    s, _ = arclength(f, n)
+    return DomainBoundary(points=eval_boundary(f, n), zeta_o=f.zeta_o, arclengths=s)
 
 
 def inradius_circumradius(b: DomainBoundary) -> tuple[float, float]:

@@ -36,8 +36,8 @@ import numpy as np
 from . import norms
 from ._spectral import trig_sup_abs
 from .boundary import BoundaryFunction, rescale_to_common_interval
-from .conformal import (ConformalMap, _circle_values, _univalence_faults, c1_gap,
-                        forward_operator, node_table)
+from .conformal import (ConformalMap, _arclength_map, _circle_values, _univalence_faults,
+                        c1_gap, forward_operator, node_table)
 from .errors import InvalidInputError, NotUnivalentError
 from .families import disk_for_constant
 from .files import format_number
@@ -328,11 +328,10 @@ class DomainSample:
     map, and a map that fails a univalence test at this n (so that its image
     is not known to be a domain), are rejected here, and so is a datum that
     does not integrate to 1 (`CompatibilityError`).  Every field is computed
-    here, when the sample is made.  The map is evaluated once, into its node
-    table (f, f', z f'' at the theta grid), which the univalence test, the
-    circle data (psi, psi'), the polyline and the checks' map gaps read; the
-    boundary datum at alpha, and the parts of its measured Holder norms, come
-    from the forward operator.  Checks that share a sample share all of them;
+    here, when the sample is made: the node table (f, f', z f'' at the theta
+    grid), which the univalence test, the circle data (psi, psi'), the polyline
+    and the checks' map gaps read, the boundary datum at alpha and the parts of
+    its measured Holder norms.  Checks that share a sample share all of them;
     :meth:`scaled` maps them to a dilation of the domain.
     """
 
@@ -357,7 +356,8 @@ class DomainSample:
         dv = datum.derivative()
         # the datum pulled back to the theta grid, read off the map without an inversion
         self._fill(f=f, nodes=nodes, datum=datum, circle=_circle_values(nodes[1], nodes[2]),
-                   polyline=DomainBoundary.from_nodes(nodes, f.zeta_o),
+                   polyline=DomainBoundary(nodes[0], f.zeta_o,
+                                           _arclength_map(nodes[1]).node_values()),
                    sups=(float(np.max(np.abs(datum.values))), float(np.max(np.abs(dv)))),
                    seminorm=_interval_seminorm(datum.values, datum.L, alpha),
                    seminorm1=_interval_seminorm(dv, datum.L, alpha))
@@ -381,27 +381,25 @@ class DomainSample:
         this one without a forward operator, a univalence test or a seminorm.
 
         A dilation keeps univalence, the grid's resolution and the datum's
-        unit integral.  It takes the datum to phi/c on [0, cL] with phi'/c^2,
-        psi and psi' to psi/c and psi'/c, the polyline to zeta_o + c(p - zeta_o)
-        with arclengths c s, the node rows to zeta_o + c(f - zeta_o), c f', c z f'',
-        and [phi]_a, [phi']_a to c^(-1-a) and c^(-2-a) times themselves.  For a
-        power-of-two c and zeta_o = 0 the tests find the nodes, the datum, the circle
-        data and the polyline bit-identical to those of ``DomainSample(f.scaled(c))``,
-        and the norms within a few ulps.
+        unit integral.  It takes the node rows to zeta_o + c(f - zeta_o), c f',
+        c z f'' (row f is the polyline, whose arclengths go to c s), the datum to
+        phi/c on [0, cL] with phi'/c^2, psi and psi' to psi/c and psi'/c, and
+        [phi]_a, [phi']_a to c^(-1-a) and c^(-2-a) times themselves.  For a
+        power-of-two c and zeta_o = 0 the tests find every array bit-identical
+        to that of ``DomainSample(f.scaled(c))``, and the norms within a few ulps.
         """
         if not (math.isfinite(c) and c > 0):
             raise InvalidInputError(f"scale factor must be positive and finite, got {c}")
         phi, (psi, psi_prime), b = self.datum, self.circle, self.polyline
-        f, fprime, zf2 = self.nodes
-        points = b.zeta_o + c * (f - b.zeta_o)
+        nodes = c * self.nodes
+        nodes[0] = b.zeta_o + c * (self.nodes[0] - b.zeta_o)
         scaled = object.__new__(type(self))
         scaled._fill(
-            f=self.f.scaled(c), n=self.n, alpha=self.alpha,
-            nodes=np.stack([points, c * fprime, c * zf2]),
+            f=self.f.scaled(c), n=self.n, alpha=self.alpha, nodes=nodes,
             datum=BoundaryFunction(phi.values / c, c * phi.L, alpha=self.alpha,
                                    derivative_values=phi.derivative() / c / c),
             circle=(psi / c, psi_prime / c),
-            polyline=DomainBoundary(points, b.zeta_o, c * b.arclengths),
+            polyline=DomainBoundary(nodes[0], b.zeta_o, c * b.arclengths),
             sups=(self.sups[0] / c, self.sups[1] / c / c),
             seminorm=self.seminorm / c / c ** self.alpha,
             seminorm1=self.seminorm1 / c / c / c ** self.alpha)
@@ -445,13 +443,6 @@ def _class_constants(samples, notes: list[str], m, M0, M1=None, with_M1: bool = 
     return m, M0, _merge_constant(M1, M1_meas, "upper", notes, "M1")
 
 
-def _aligned_nodes(d1: DomainSample, d2: DomainSample, alignment: str):
-    """The angle that rotates d2's map to match d1's, and the rotated map's
-    node table: d2's own at a zero angle, which leaves the coefficients as they are."""
-    gamma, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=d1.n)
-    return gamma, d2.nodes if gamma == 0.0 else node_table(f2r, d1.n)
-
-
 # ---------------------------------------------------------------------------
 # the checks
 # ---------------------------------------------------------------------------
@@ -477,7 +468,8 @@ def check_theorem_stab_gen(d1: DomainSample, d2: DomainSample, *,
     dpsi = psi1 - psi2
     sup_dpsi = trig_sup_abs(dpsi)
     seminorm_dpsi = _interval_seminorm(dpsi, TWO_PI, alpha)
-    _, nodes2 = _aligned_nodes(d1, d2, alignment)
+    gamma, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
+    nodes2 = d2.nodes if gamma == 0.0 else node_table(f2r, n)
     common = dict(theorem="stab_gen", n=n, alignment=alignment, m=bundle.m,
                   M0=bundle.M0, M1=None, L1=bundle.L1, L2=bundle.L2, alpha=alpha,
                   notes="; ".join(notes))
@@ -558,8 +550,10 @@ def _chain(d1: DomainSample, d2: DomainSample, alignment: str, bundle: Constants
     dpsi = psi1 - psi2
     sup_dpsi_prime = trig_sup_abs(psi1_prime - psi2_prime)
     s1, s2 = d1.polyline.arclengths, d2.polyline.arclengths
-    gamma, nodes2 = _aligned_nodes(d1, d2, alignment)
-    polyline2 = d2.polyline if gamma == 0.0 else DomainBoundary.from_nodes(nodes2, d2.f.zeta_o)
+    gamma, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
+    # a zero angle leaves the partner as it is; a rotation about zeta_o keeps its tags s2
+    nodes2 = d2.nodes if gamma == 0.0 else node_table(f2r, n)
+    polyline2 = d2.polyline if gamma == 0.0 else DomainBoundary(nodes2[0], d2.f.zeta_o, s2)
     lhs = [float(np.max(np.abs(arc_scales[0] * s1 - arc_scales[1] * s2))),
            trig_sup_abs(dpsi), _interval_seminorm(dpsi, TWO_PI, alpha),
            TWO_PI * sup_dpsi_prime, c1_gap(d1.nodes, nodes2),

@@ -377,7 +377,8 @@ class TestScaledSample:
 
     def test_runs_no_forward_operator_or_univalence_test(self, sample, monkeypatch):
         calls = []
-        for name in ("forward_operator", "node_table", "_univalence_faults"):
+        for name in ("forward_operator", "node_table", "_univalence_faults", "_arclength_map",
+                     "_circle_values"):
             monkeypatch.setattr(stability, name, lambda *a, name=name: calls.append(name))
         monkeypatch.setattr(norms, "holder_seminorm", lambda *a: calls.append("seminorm"))
         sample.scaled(3.0)
