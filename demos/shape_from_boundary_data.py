@@ -13,7 +13,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from greenrecon import (boundary_of, forward_operator, hausdorff_distance,
+from greenrecon import (arclength, boundary_of, forward_operator, hausdorff_distance,
                         inradius_circumradius, reconstruct_fprime)
 from greenrecon.families import fourier_disk
 from greenrecon.files import save_polyline
@@ -37,6 +37,6 @@ print(f"recovered inradius/circumradius about the pole: {rho:.6f}, {big_r:.6f}")
 
 out = pathlib.Path(__file__).resolve().parent / "output"
 out.mkdir(exist_ok=True)
-save_polyline(out / "true_boundary.csv", b_true)
-save_polyline(out / "reconstructed_boundary.csv", b_rec)
+save_polyline(out / "true_boundary.csv", b_true, arclength(truth, n)[0])
+save_polyline(out / "reconstructed_boundary.csv", b_rec, arclength(result.map, n)[0])
 print(f"polylines written to {out}/")

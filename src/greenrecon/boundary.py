@@ -97,17 +97,14 @@ class BoundaryFunction:
         distances), with the right endpoint duplicating the left one."""
         return norms.closed_interval(self.values, self.L)
 
-    def holder_norm0(self, alpha: float | None = None) -> float:
+    def holder_norm0(self) -> float:
         """Measured ||phi||_{0,alpha,[0,L]} on the grid."""
-        a = self.alpha if alpha is None else alpha
-        return norms.holder_norm(self.as_interval_function(), 0, a)
+        return norms.holder_norm(self.as_interval_function(), 0, self.alpha)
 
-    def holder_norm1(self, alpha: float | None = None) -> float:
+    def holder_norm1(self) -> float:
         """Measured ||phi||_{1,alpha,[0,L]} on the grid."""
-        a = self.alpha if alpha is None else alpha
-        f = self.as_interval_function()
         dv = self.derivative()
-        return norms.holder_norm(f, 1, a,
+        return norms.holder_norm(self.as_interval_function(), 1, self.alpha,
                                  derivative_values=np.concatenate([dv, [dv[0]]]))
 
 

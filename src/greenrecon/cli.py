@@ -23,7 +23,7 @@ import numpy as np
 
 from . import stability
 from .boundary import build_cumulative
-from .conformal import boundary_grid, eval_fprime, forward_operator
+from .conformal import arclength, boundary_grid, eval_fprime, forward_operator
 from .errors import GreenreconError, InvalidInputError
 from .families import disk, parse_family
 from .files import (at_line, load_boundary_data, load_map, read_config, save_boundary_data,
@@ -190,7 +190,7 @@ def _cmd_forward(args) -> int:
     cm = build_cumulative(phi)
     theta = cm.theta_nodes()
     write_csv(out / "cumulative.csv", "s,theta", zip(phi.grid, theta))
-    save_polyline(out / "polyline.csv", boundary_of(f, n))
+    save_polyline(out / "polyline.csv", boundary_of(f, n), arclength(f, n)[0])
     if args.emit_plots:
         write_csv(out / "fprime_abs.csv", "theta,fprime_abs",
                   zip(boundary_grid(n), np.abs(eval_fprime(f, n))))

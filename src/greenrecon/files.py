@@ -183,11 +183,13 @@ def load_boundary_data(path) -> BoundaryFunction:
                                 derivative_values=columns[2] if len(columns) == 3 else None)
 
 
-def save_polyline(path, b: DomainBoundary) -> None:
+def save_polyline(path, b: DomainBoundary, s: np.ndarray) -> None:
     """CSV export: one ``theta,s,re,im`` row per boundary sample, theta on
-    the uniform grid of the circle."""
-    write_csv(path, "theta,s,re,im",
-              zip(boundary_grid(b.n), b.arclengths, b.points.real, b.points.imag))
+    the uniform grid of the circle and s the arclength there
+    (``arclength(f, n)[0]`` for ``boundary_of(f, n)``)."""
+    if np.shape(s) != b.points.shape:
+        raise InvalidInputError("need one arclength per boundary sample")
+    write_csv(path, "theta,s,re,im", zip(boundary_grid(b.n), s, b.points.real, b.points.imag))
 
 
 def read_config(path: Path, section: str) -> list[tuple[int, str, str]]:

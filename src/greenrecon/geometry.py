@@ -11,7 +11,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .conformal import ConformalMap, _total_turning, arclength, eval_boundary
+from .conformal import ConformalMap, _total_turning, eval_boundary
 from .errors import ConvergenceError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -60,32 +60,29 @@ _FOCUS_SHRINK = 16.0
 
 @dataclass(frozen=True)
 class DomainBoundary:
-    """Closed boundary polyline with arclength tags.
+    """Closed boundary polyline about an interior base point.
 
     ``points`` holds one sample per vertex with the closing edge implied
-    (the first point is not repeated).  The interior base point must wind
-    once around the polyline.
+    (the first point is not repeated).  The base point must be finite and
+    wind once around the polyline.  No arclength tags are kept: a map's come
+    from ``arclength(f, n)``, a sample's from ``DomainSample.arclengths``.
     """
 
     points: np.ndarray
     zeta_o: complex
-    arclengths: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
-        s = np.asarray(self.arclengths, dtype=float)
+        zeta_o = complex(self.zeta_o)
         if pts.ndim != 1 or pts.size < 8:
             raise InvalidInputError("need at least 8 boundary samples")
-        if s.shape != pts.shape:
-            raise InvalidInputError("arclength tags must match the samples")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidInputError("boundary samples must be finite")
-        if not np.all(np.diff(s) > 0):
-            raise InvalidInputError("arclength tags must be strictly increasing")
+        if not (np.all(np.isfinite(pts)) and np.isfinite(zeta_o)):
+            raise InvalidInputError("boundary samples and base point must be finite")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "arclengths", s)
-        winding = _total_turning(pts, complex(self.zeta_o)) / TWO_PI
-        if abs(winding - 1.0) > 1e-6:
+        object.__setattr__(self, "zeta_o", zeta_o)
+        winding = _total_turning(pts, zeta_o) / TWO_PI
+        # written so that a NaN winding fails
+        if not abs(winding - 1.0) <= 1e-6:
             raise InvalidInputError(
                 f"base point winding number {winding:.8f}, expected 1")
 
@@ -101,9 +98,8 @@ class DomainBoundary:
 
 
 def boundary_of(f: ConformalMap, n: int) -> DomainBoundary:
-    """Sample a map's boundary into a polyline with arclength tags."""
-    s, _ = arclength(f, n)
-    return DomainBoundary(points=eval_boundary(f, n), zeta_o=f.zeta_o, arclengths=s)
+    """The polyline of a map's values at the n-th roots of unity."""
+    return DomainBoundary(eval_boundary(f, n), f.zeta_o)
 
 
 def inradius_circumradius(b: DomainBoundary) -> tuple[float, float]:

@@ -329,10 +329,10 @@ class DomainSample:
     is not known to be a domain), are rejected here, and so is a datum that
     does not integrate to 1 (`CompatibilityError`).  Every field is computed
     here, when the sample is made: the node table (f, f', z f'' at the theta
-    grid), which the univalence test, the circle data (psi, psi'), the polyline
-    and the checks' map gaps read, the boundary datum at alpha and the parts of
-    its measured Holder norms.  Checks that share a sample share all of them;
-    :meth:`scaled` maps them to a dilation of the domain.
+    grid), which the univalence test, the circle data (psi, psi'), the polyline,
+    its arclengths s and the checks' map gaps read, the boundary datum at alpha
+    and the parts of its measured Holder norms.  Checks that share a sample
+    share all of them; :meth:`scaled` maps them to a dilation of the domain.
     """
 
     f: ConformalMap
@@ -342,6 +342,7 @@ class DomainSample:
     datum: BoundaryFunction = field(init=False, repr=False)
     circle: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     polyline: DomainBoundary = field(init=False, repr=False)
+    arclengths: np.ndarray = field(init=False, repr=False)  # s at the nodes, as arclength(f, n)
     sups: tuple[float, float] = field(init=False)  # sup|phi|, sup|phi'| on the grid
     seminorm: float = field(init=False)    # [phi]_alpha on the closed interval [0, L]
     seminorm1: float = field(init=False)   # [phi']_alpha on the closed interval [0, L]
@@ -356,8 +357,8 @@ class DomainSample:
         dv = datum.derivative()
         # the datum pulled back to the theta grid, read off the map without an inversion
         self._fill(f=f, nodes=nodes, datum=datum, circle=_circle_values(nodes[1], nodes[2]),
-                   polyline=DomainBoundary(nodes[0], f.zeta_o,
-                                           _arclength_map(nodes[1]).node_values()),
+                   polyline=DomainBoundary(nodes[0], f.zeta_o),
+                   arclengths=_arclength_map(nodes[1]).node_values(),
                    sups=(float(np.max(np.abs(datum.values))), float(np.max(np.abs(dv)))),
                    seminorm=_interval_seminorm(datum.values, datum.L, alpha),
                    seminorm1=_interval_seminorm(dv, datum.L, alpha))
@@ -382,7 +383,7 @@ class DomainSample:
 
         A dilation keeps univalence, the grid's resolution and the datum's
         unit integral.  It takes the node rows to zeta_o + c(f - zeta_o), c f',
-        c z f'' (row f is the polyline, whose arclengths go to c s), the datum to
+        c z f'' (row f is the polyline), the arclengths s to c s, the datum to
         phi/c on [0, cL] with phi'/c^2, psi and psi' to psi/c and psi'/c, and
         [phi]_a, [phi']_a to c^(-1-a) and c^(-2-a) times themselves.  For a
         power-of-two c and zeta_o = 0 the tests find every array bit-identical
@@ -399,7 +400,7 @@ class DomainSample:
             datum=BoundaryFunction(phi.values / c, c * phi.L, alpha=self.alpha,
                                    derivative_values=phi.derivative() / c / c),
             circle=(psi / c, psi_prime / c),
-            polyline=DomainBoundary(nodes[0], b.zeta_o, c * b.arclengths),
+            polyline=DomainBoundary(nodes[0], b.zeta_o), arclengths=c * self.arclengths,
             sups=(self.sups[0] / c, self.sups[1] / c / c),
             seminorm=self.seminorm / c / c ** self.alpha,
             seminorm1=self.seminorm1 / c / c / c ** self.alpha)
@@ -549,11 +550,11 @@ def _chain(d1: DomainSample, d2: DomainSample, alignment: str, bundle: Constants
     (psi1, psi1_prime), (psi2, psi2_prime) = d1.circle, d2.circle
     dpsi = psi1 - psi2
     sup_dpsi_prime = trig_sup_abs(psi1_prime - psi2_prime)
-    s1, s2 = d1.polyline.arclengths, d2.polyline.arclengths
+    s1, s2 = d1.arclengths, d2.arclengths
     gamma, f2r = align_rotation(d1.f, d2.f, mode=alignment, n=n)
-    # a zero angle leaves the partner as it is; a rotation about zeta_o keeps its tags s2
+    # a zero angle leaves the partner as it is; a rotation keeps its arclengths s2
     nodes2 = d2.nodes if gamma == 0.0 else node_table(f2r, n)
-    polyline2 = d2.polyline if gamma == 0.0 else DomainBoundary(nodes2[0], d2.f.zeta_o, s2)
+    polyline2 = d2.polyline if gamma == 0.0 else DomainBoundary(nodes2[0], d2.f.zeta_o)
     lhs = [float(np.max(np.abs(arc_scales[0] * s1 - arc_scales[1] * s2))),
            trig_sup_abs(dpsi), _interval_seminorm(dpsi, TWO_PI, alpha),
            TWO_PI * sup_dpsi_prime, c1_gap(d1.nodes, nodes2),

@@ -7,7 +7,7 @@ from greenrecon.boundary import (BoundaryFunction, COMPATIBILITY_TOL,
                                  INVERSION_TOL, build_cumulative,
                                  invert_cumulative, rescale_to_common_interval,
                                  validate_class)
-from greenrecon.conformal import forward_operator
+from greenrecon.conformal import arclength, forward_operator
 from greenrecon.errors import (CompatibilityError, DataFormatError,
                                InvalidInputError)
 from greenrecon.families import perturbed_disk
@@ -283,7 +283,8 @@ class TestAtomicWrite:
     @pytest.mark.parametrize("save, obj", [
         (save_boundary_data, constant_datum(n=16, L=1.0)),
         (save_map, perturbed_disk(0.1)),
-        (save_polyline, boundary_of(perturbed_disk(0.1), 16)),
+        (lambda path, b: save_polyline(path, b, arclength(perturbed_disk(0.1), 16)[0]),
+         boundary_of(perturbed_disk(0.1), 16)),
     ], ids=["bdata", "map", "polyline"])
     def test_saves_replace_the_target_only_on_success(self, tmp_path, monkeypatch,
                                                       save, obj):

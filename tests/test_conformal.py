@@ -384,7 +384,7 @@ class TestForwardOperator:
 
     def test_pushforward_routes_agree(self):
         # the map route (psi = 1/(2 pi |f'|) and psi' = psi Im(z f''/f') from
-        # the map's power sums, s from the polyline's arclength tags) equals
+        # the map's power sums, s from the sample's arclengths) equals
         # the arclength datum pulled back through its inverse cumulative map
         from greenrecon._spectral import TrigInterpolant
         from greenrecon.boundary import build_cumulative
@@ -397,7 +397,7 @@ class TestForwardOperator:
             psi = phi.interpolant()(s)
             psi_prime = TrigInterpolant(phi.derivative(), phi.L)(s) / (TWO_PI * psi)
             direct, direct_prime = d.circle
-            assert np.max(np.abs(d.polyline.arclengths - s)) <= 1e-14
+            assert np.max(np.abs(d.arclengths - s)) <= 1e-14
             assert np.max(np.abs(direct - psi)) <= 1e-14
             assert np.max(np.abs(direct_prime - psi_prime)) <= 1e-12
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from greenrecon import geometry
-from greenrecon.conformal import ConformalMap, forward_operator
+from greenrecon import conformal, geometry
+from greenrecon.conformal import ConformalMap, arclength, eval_boundary, forward_operator
 from greenrecon.errors import ConvergenceError, InvalidInputError
 from greenrecon.families import disk, disk_for_constant, fourier_disk, perturbed_disk
 from greenrecon.geometry import (DomainBoundary, _total_turning, align_rotation,
@@ -18,14 +18,14 @@ from greenrecon.geometry import (DomainBoundary, _total_turning, align_rotation,
                                  largest_inscribed_circle, smallest_enclosing_circle)
 from greenrecon.files import save_polyline
 from greenrecon.reconstruct import reconstruct_fprime
+from greenrecon.stability import DomainSample
 
 TWO_PI = 2 * np.pi
 
 
 def circle_boundary(radius=1.0, center=0j, n=256, phase=0.0):
     theta = phase + np.arange(n) * (TWO_PI / n)
-    return DomainBoundary(points=center + radius * np.exp(1j * theta),
-                          zeta_o=center, arclengths=radius * theta)
+    return DomainBoundary(points=center + radius * np.exp(1j * theta), zeta_o=center)
 
 
 def pair_scan_hausdorff(b1, b2):
@@ -161,9 +161,7 @@ def brute_force_enclosing_circle(points):
 
 
 def polyline(points, zeta_o=0j):
-    # the arclength tags play no part in the distance
-    return DomainBoundary(points=points, zeta_o=zeta_o,
-                          arclengths=np.arange(points.size, dtype=float))
+    return DomainBoundary(points=points, zeta_o=zeta_o)
 
 
 @st.composite
@@ -187,8 +185,7 @@ def moved(f, zeta_o):
 def translated_pair(shift):
     """perturbed_disk(0.1) at n = 4096 against itself moved by shift."""
     b = boundary_of(perturbed_disk(0.1), 4096)
-    return b, DomainBoundary(points=b.points + shift, zeta_o=b.zeta_o + shift,
-                             arclengths=b.arclengths)
+    return b, DomainBoundary(points=b.points + shift, zeta_o=b.zeta_o + shift)
 
 
 def jagged_star(seed, n):
@@ -364,7 +361,7 @@ class TestDomainBoundary:
         theta = np.arange(64) * (TWO_PI / 64)
         points = np.exp(1j * theta)
         with pytest.raises(InvalidInputError):
-            DomainBoundary(points=points, zeta_o=2.0 + 0j, arclengths=theta)
+            DomainBoundary(points=points, zeta_o=2.0 + 0j)
 
     def test_non_finite_samples_rejected(self):
         theta = np.arange(64) * (TWO_PI / 64)
@@ -372,13 +369,34 @@ class TestDomainBoundary:
             points = np.exp(1j * theta)
             points[3] = bad
             with pytest.raises(InvalidInputError, match="finite"):
-                DomainBoundary(points=points, zeta_o=0j, arclengths=theta)
+                DomainBoundary(points=points, zeta_o=0j)
+        # a NaN winding number about such a base point must not pass the test
+        for bad in (np.nan, np.inf, np.nan * 1j):
+            with pytest.raises(InvalidInputError, match="finite"):
+                DomainBoundary(points=np.exp(1j * theta), zeta_o=bad)
+
+    def test_base_point_stored_as_complex(self):
+        b = DomainBoundary(points=np.exp(1j * np.arange(64) * (TWO_PI / 64)), zeta_o=0)
+        assert type(b.zeta_o) is complex and b.zeta_o == 0
 
     def test_from_map(self):
-        b = boundary_of(perturbed_disk(0.1), 128)
+        f = perturbed_disk(0.1)
+        b = boundary_of(f, 128)
         assert b.n == 128
         assert b.zeta_o == 0
-        assert np.all(np.diff(b.arclengths) > 0)
+        assert np.all(np.diff(DomainSample(f, 128).arclengths) > 0)
+
+    def test_from_map_takes_no_derivative_or_arclength(self, monkeypatch):
+        # the polyline is the map's values alone: its arclengths are arclength(f, n)
+        def refuse(*args):
+            raise AssertionError("boundary_of evaluated f' or an arclength")
+
+        monkeypatch.setattr(conformal, "eval_fprime", refuse)
+        monkeypatch.setattr(conformal, "_arclength_map", refuse)
+        f = fourier_disk({2: 0.05, 3: 0.03})
+        b = boundary_of(f, 256)
+        assert np.array_equal(b.points, eval_boundary(f, 256))
+        assert b.zeta_o == f.zeta_o
 
 
 class TestRadii:
@@ -398,8 +416,7 @@ class TestRadii:
         theta = np.arange(n) * (TWO_PI / n)
         pts = a * np.cos(theta) + 1j * bb * np.sin(theta)
         chord = np.cumsum(np.abs(np.diff(np.concatenate([[pts[-1]], pts]))))
-        boundary = DomainBoundary(points=pts, zeta_o=0j,
-                                  arclengths=chord)
+        boundary = DomainBoundary(points=pts, zeta_o=0j)
         rho, big_r = inradius_circumradius(boundary)
         assert rho == pytest.approx(1.0, abs=1e-12)
         assert big_r == pytest.approx(2.0, abs=1e-12)
@@ -458,10 +475,8 @@ class TestHausdorff:
         b2 = boundary_of(fourier_disk({2: 0.05, 3: 0.03}), 256)
         d = hausdorff_distance(b1, b2)
         phase = np.exp(0.9j)
-        r1 = DomainBoundary(points=phase * b1.points, zeta_o=0j,
-                            arclengths=b1.arclengths)
-        r2 = DomainBoundary(points=phase * b2.points, zeta_o=0j,
-                            arclengths=b2.arclengths)
+        r1 = DomainBoundary(points=phase * b1.points, zeta_o=0j)
+        r2 = DomainBoundary(points=phase * b2.points, zeta_o=0j)
         assert hausdorff_distance(r1, r2) == pytest.approx(d, abs=1e-12)
 
 
@@ -848,11 +863,17 @@ class TestSideTest:
 
 class TestPolylineExport:
     def test_csv_structure(self, tmp_path):
-        b = boundary_of(perturbed_disk(0.1), 64)
+        f = perturbed_disk(0.1)
         path = tmp_path / "poly.csv"
-        save_polyline(path, b)
+        save_polyline(path, boundary_of(f, 64), arclength(f, 64)[0])
         lines = path.read_text().splitlines()
         assert lines[0] == "theta,s,re,im"
         assert len(lines) == 65
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 0.0 and first[2] == pytest.approx(1.1)
+
+    def test_one_arclength_per_sample(self, tmp_path):
+        f = perturbed_disk(0.1)
+        with pytest.raises(InvalidInputError, match="one arclength per boundary sample"):
+            save_polyline(tmp_path / "poly.csv", boundary_of(f, 64), arclength(f, 32)[0])
+        assert list(tmp_path.iterdir()) == []

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from greenrecon import boundary, norms, stability
 from greenrecon._spectral import invert_increasing
-from greenrecon.conformal import _univalence_faults, forward_operator, node_table
+from greenrecon.conformal import _univalence_faults, arclength, forward_operator, node_table
 from greenrecon.errors import (AliasingError, CompatibilityError, InvalidInputError,
                                NotUnivalentError)
 from greenrecon.families import (disk, disk_for_constant, equal_perimeter_pair, fourier_disk,
@@ -233,6 +233,14 @@ class TestDomainSample:
             assert d.norm1 == phi.holder_norm1()
             assert np.array_equal(d.polyline.points, boundary_of(f, 256).points)
 
+    @pytest.mark.parametrize("n", [256, 512, 4096])
+    def test_arclengths_are_the_maps(self, n):
+        # from the node table's row f', to the bit of arclength(f, n) and in
+        # its canonical frame, so a rotated input gives the same tags
+        for f in (disk(rho=0.7), perturbed_disk(0.15), fourier_disk({2: 0.1 + 0.05j, 3: -0.04j}),
+                  fourier_disk({2: 0.05, 5: 0.02}).rotated(2.0)):
+            assert np.array_equal(DomainSample(f, n).arclengths, arclength(f, n)[0])
+
     def test_checks_share_one_datum_per_sample(self, monkeypatch):
         calls = Counter()
 
@@ -338,7 +346,7 @@ def _sample_fields(d):
     """Every array and number of a sample, by name."""
     return dict(nodes=d.nodes, values=d.datum.values, derivative=d.datum.derivative_values,
                 L=d.datum.L, psi=d.circle[0], psi_prime=d.circle[1], points=d.polyline.points,
-                arclengths=d.polyline.arclengths, seminorm=d.seminorm, norm0=d.norm0,
+                arclengths=d.arclengths, seminorm=d.seminorm, norm0=d.norm0,
                 norm1=d.norm1)
 
 
